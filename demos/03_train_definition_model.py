@@ -3,8 +3,9 @@
 from glossgen.cli import asset_path
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
 from glossgen.data import build_vocab, load_corpus
+from glossgen.metrics import perplexity
 from glossgen.models import DefinitionModel
-from glossgen.training import make_query_entry, train, validation_ppl
+from glossgen.training import make_query_entry, train
 
 entries, _ = load_corpus(asset_path("mini_corpus.jsonl"))
 tokens = []
@@ -29,7 +30,7 @@ print(f"parameters: {sum(t.data.size for t in model.params().values())}")
 # memorize the whole corpus; stop once it is essentially learned
 result = train(model, cfg, entries, entries, stop_ppl=1.08)
 print(f"stopped after {result.epochs_run} epochs, "
-      f"perplexity {validation_ppl(model, entries):.3f}")
+      f"perplexity {perplexity(model, entries, task='all'):.3f}")
 
 # one word, three senses: the context sentence selects the definition
 print("\n'check' against its three corpus contexts:")

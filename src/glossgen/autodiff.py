@@ -429,32 +429,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _finish("slice", (x,), out, backward)
 
 
-PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "concat": concat,
-    "elementwise-mul": mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax": softmax,
-    "max-over-axis": max_over_axis,
-    "embedding-lookup": embedding_lookup,
-    "conv1d": conv1d,
-    "cross-entropy-from-logits": cross_entropy_from_logits,
-    "scale": scale,
-    "slice": slice_axis,
-}
-
-
-def forward_primitive(op: str, *args, **kwargs) -> Tensor:
-    """Apply a primitive by id. The set of ids is closed (see PRIMITIVES)."""
-    try:
-        fn = PRIMITIVES[op]
-    except KeyError:
-        raise AutodiffError(f"unknown primitive {op!r}") from None
-    return fn(*args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Composites (built from primitives only, no new backward rules)
 # ---------------------------------------------------------------------------

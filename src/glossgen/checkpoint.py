@@ -3,12 +3,14 @@
 The header carries the format version, the full resolved config, the
 vocabulary itself, and its fingerprint, so a checkpoint is self-contained and
 guards against evaluating under a different vocabulary. Round trips are
-bit-exact (float64 arrays are stored losslessly).
+bit-exact (float64 arrays are stored losslessly). Writes are atomic: a crash
+mid-write leaves any previous file at the target path as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -24,6 +26,35 @@ class CheckpointError(Exception):
     pass
 
 
+def _write(path, meta: dict, arrays: dict) -> None:
+    """Write the JSON header and arrays to a temp file next to ``path``, then
+    move it over ``path``; on failure the temp file is removed."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{META_KEY: np.array(json.dumps(meta, sort_keys=True))}, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _read(path, with_arrays: bool = True) -> tuple[dict, dict]:
+    """(header, arrays) of a file written by ``_write``; arrays are only
+    loaded when asked for."""
+    with np.load(path, allow_pickle=False) as data:
+        if META_KEY not in data:
+            raise CheckpointError(f"{path}: not a checkpoint (no header)")
+        meta = json.loads(str(data[META_KEY]))
+        arrays = ({k: data[k] for k in data.files if k != META_KEY}
+                  if with_arrays else {})
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: format version {meta.get('format_version')} unsupported")
+    return meta, arrays
+
+
 def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
@@ -37,16 +68,11 @@ def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) ->
     if model.char_encoder is not None:
         meta["char_vocab"] = model.char_encoder.char_vocab.chars
     meta.update(extra_meta or {})
-    arrays = model.state_arrays()
-    with open(path, "wb") as fh:
-        np.savez(fh, **{META_KEY: np.array(json.dumps(meta, sort_keys=True))}, **arrays)
+    _write(path, meta, model.state_arrays())
 
 
 def read_meta(path) -> dict:
-    with np.load(path, allow_pickle=False) as data:
-        if META_KEY not in data:
-            raise CheckpointError(f"{path}: not a checkpoint (no header)")
-        return json.loads(str(data[META_KEY]))
+    return _read(path, with_arrays=False)[0]
 
 
 def load_checkpoint(path, contextual: ContextualProvider | None = None):
@@ -57,14 +83,7 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     """
     from .models import DefinitionModel
 
-    with np.load(path, allow_pickle=False) as data:
-        if META_KEY not in data:
-            raise CheckpointError(f"{path}: not a checkpoint (no header)")
-        meta = json.loads(str(data[META_KEY]))
-        arrays = {k: data[k] for k in data.files if k != META_KEY}
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {meta.get('format_version')} unsupported")
+    meta, arrays = _read(path)
     cfg = config_from_dict(meta["config"])
     tokens = meta["vocab_tokens"]
     vocab = Vocabulary(tokens[4:])
@@ -92,18 +111,12 @@ def save_pretrained(path, model, extra_meta: dict | None = None) -> None:
         "input_dim": model.input_dim,
     }
     meta.update(extra_meta or {})
-    arrays = {name: t.data for name, t in model.pretrainable_params().items()}
-    with open(path, "wb") as fh:
-        np.savez(fh, **{META_KEY: np.array(json.dumps(meta, sort_keys=True))}, **arrays)
+    _write(path, meta, {name: t.data for name, t in model.pretrainable_params().items()})
 
 
 def load_pretrained(path, model) -> list[str]:
     """Copy pretrained decoder arrays into a model; returns the copied names."""
-    with np.load(path, allow_pickle=False) as data:
-        if META_KEY not in data:
-            raise CheckpointError(f"{path}: not a checkpoint (no header)")
-        meta = json.loads(str(data[META_KEY]))
-        arrays = {k: data[k] for k in data.files if k != META_KEY}
+    meta, arrays = _read(path)
     if meta.get("kind") != "pretrained-decoder":
         raise CheckpointError(f"{path}: not a pretrained-decoder file")
     if meta["vocab_fingerprint"] != model.vocab.fingerprint():

@@ -116,20 +116,19 @@ def _load_entries(cfg: Config):
     return load_corpus(path)
 
 
-def _model_vocab(entries, cfg: Config) -> Vocabulary:
-    # The decoder must emit function words, so no stopword filter here.
+def _vocab(entries, cfg: Config, stopwords=None) -> Vocabulary:
+    """Vocabulary over every definition, context and usage token. Model
+    vocabularies pass no stopwords: the decoder must emit function words."""
     stream = [t for e in entries
               for seq in ([e.definition] + e.contexts + [e.usage or []])
               for t in seq]
-    return build_vocab(stream, cfg.data.vocab_size)
+    return build_vocab(stream, cfg.data.vocab_size, stopwords)
 
 
 def _contextual(cfg: Config) -> ContextualProvider:
     if cfg.data.contextual_file:
         path = resolve_data_path(cfg.data.contextual_file)
-        table = load_contextual_file(path)
-        return ContextualProvider("file-backed", cfg.model.d_e,
-                                  seed=cfg.train.seed, table=table)
+        return load_contextual_file(path, cfg.model.d_e, seed=cfg.train.seed)
     return ContextualProvider("deterministic-test", cfg.model.d_e,
                               seed=cfg.train.seed)
 
@@ -217,10 +216,7 @@ def cmd_data_vocab(args, cfg, argv) -> int:
         path = (asset_path("stopwords.txt") if args.stopwords == "bundled"
                 else args.stopwords)
         stopwords = load_stopwords(path)
-    stream = [t for e in entries
-              for seq in ([e.definition] + e.contexts + [e.usage or []])
-              for t in seq]
-    vocab = build_vocab(stream, cfg.data.vocab_size, stopwords)
+    vocab = _vocab(entries, cfg, stopwords)
     print(f"vocabulary size {len(vocab)} (4 specials)  "
           f"fingerprint {vocab.fingerprint()[:12]}")
     if args.out_dir:
@@ -234,7 +230,7 @@ def cmd_data_vocab(args, cfg, argv) -> int:
 def cmd_pretrain(args, cfg, argv) -> int:
     out_dir = _prepare_out(args, cfg, argv)
     entries, _ = _load_entries(cfg)
-    vocab = _model_vocab(entries, cfg)
+    vocab = _vocab(entries, cfg)
     lm_path = resolve_data_path(cfg.data.lm_corpus, "lm_corpus.txt")
     sentences = load_lm_sentences(lm_path, vocab)
     model = _build_model(cfg, vocab)
@@ -251,7 +247,7 @@ def cmd_pretrain(args, cfg, argv) -> int:
 def cmd_train(args, cfg, argv) -> int:
     out_dir = _prepare_out(args, cfg, argv)
     entries, _ = _load_entries(cfg)
-    vocab = _model_vocab(entries, cfg)
+    vocab = _vocab(entries, cfg)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     splits = _splits(entries, cfg, args.manifest)
     if not args.manifest:
@@ -287,7 +283,7 @@ def cmd_train(args, cfg, argv) -> int:
 def cmd_eval(args, cfg, argv) -> int:
     entries, _ = _load_entries(cfg)
     meta = read_meta(args.checkpoint)
-    vocab = _model_vocab(entries, cfg)
+    vocab = _vocab(entries, cfg)
     if vocab.fingerprint() != meta.get("vocab_fingerprint"):
         raise CliError(
             f"{args.checkpoint}: checkpoint vocabulary does not match this corpus "
@@ -341,7 +337,7 @@ ABLATION_FEATURES = (("base", {"char_on": False, "contextual_on": False}),
 def cmd_ablate(args, cfg, argv) -> int:
     out_dir = _prepare_out(args, cfg, argv)
     entries, _ = _load_entries(cfg)
-    vocab = _model_vocab(entries, cfg)
+    vocab = _vocab(entries, cfg)
     rows = []
     for gate in (True, False):
         for feat_name, feat in ABLATION_FEATURES:

@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 
 MODEL_KINDS = ("single", "parallel", "hier-du", "hier-ud")
+MULTI_KINDS = ("parallel", "hier-du", "hier-ud")  # kinds that also decode usage
 
 
 class ConfigError(Exception):
@@ -150,6 +151,9 @@ def validate(cfg: Config) -> None:
     d = cfg.data
     if d.vocab_size < 4:
         raise ConfigError("data.vocab_size must be at least 4")
+    if len(d.split_ratios) != 3:
+        raise ConfigError(
+            f"data.split_ratios {d.split_ratios} must have 3 parts (train, valid, test)")
     if abs(sum(d.split_ratios) - 1.0) > 1e-9:
         raise ConfigError(f"data.split_ratios {d.split_ratios} must sum to 1")
 

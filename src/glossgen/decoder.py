@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, matmul, mul, scale, sigmoid, softmax, sum_all
+from .autodiff import ShapeError, Tensor, add, concat, embedding_lookup, matmul, mul, sigmoid
 from .embeddings import glorot
 from .encoder import GruCell
 
@@ -34,7 +34,6 @@ class DecoderEmbedding:
     def embed(self, ids) -> Tensor:
         ids = np.asarray(ids, dtype=np.intp)
         is_special = ids < 4
-        from .autodiff import embedding_lookup
         base = embedding_lookup(self.frozen, ids)
         spec = embedding_lookup(self.specials, np.minimum(ids, 3))
         keep = Tensor(np.repeat((~is_special).astype(float)[:, None], self.dim, axis=1))
@@ -70,10 +69,9 @@ class InitStateProjector:
 
     def init_state(self, v_star: Tensor | None, v_c: Tensor | None,
                    batch: int = 1) -> list[Tensor]:
-        zero = Tensor(np.zeros((batch, self.d_s)))
+        upper = [Tensor(np.zeros((batch, self.d_s))) for _ in range(self.n_layers - 1)]
         if self.variant == "zeros":
-            return [zero] + [Tensor(np.zeros((batch, self.d_s)))
-                             for _ in range(self.n_layers - 1)]
+            return [Tensor(np.zeros((batch, self.d_s)))] + upper
         if self.variant in ("word", "both") and (v_star is None or v_star.shape != (batch, self.d_w)):
             raise ShapeError(f"init_state: v* must be ({batch}, {self.d_w})")
         if self.variant in ("context", "both") and (v_c is None or v_c.shape != (batch, self.d_ctx)):
@@ -85,8 +83,7 @@ class InitStateProjector:
         joint = concat([v_star, v_c], axis=1)
         s0 = add(matmul(joint, self._params[f"{self.prefix}.W_s"]),
                  self._params[f"{self.prefix}.b_s"])
-        return [s0] + [Tensor(np.zeros((batch, self.d_s)))
-                       for _ in range(self.n_layers - 1)]
+        return [s0] + upper
 
 
 class GatedInputBuilder:
@@ -164,26 +161,8 @@ class DecoderStack:
         out.update(self._params)
         return out
 
-    def step(self, states: list[Tensor], x: Tensor) -> tuple[list[Tensor], Tensor]:
-        """One decode step; returns (new states, logits (batch, V))."""
-        if len(states) != self.n_layers:
-            raise ShapeError(f"{self.prefix}: expected {self.n_layers} states, got {len(states)}")
-        new_states = []
-        inp = x
-        for cell, h in zip(self.cells, states):
-            inp = cell.step(h, inp)
-            new_states.append(inp)
-        logits = add(matmul(inp, self._params[f"{self.prefix}.W_d"]),
-                     self._params[f"{self.prefix}.b_d"])
-        return new_states, logits
-
-    def decode_step(self, states: list[Tensor], x: Tensor) -> tuple[list[Tensor], Tensor]:
-        """Contract form of step: returns the softmax distribution."""
-        new_states, logits = self.step(states, x)
-        return new_states, softmax(logits, axis=1)
-
-    def hidden_step(self, states: list[Tensor], x: Tensor) -> list[Tensor]:
-        """Advance the recurrent layers without projecting to logits."""
+    def step(self, states: list[Tensor], x: Tensor) -> list[Tensor]:
+        """Advance every recurrent layer by one step; returns the new states."""
         if len(states) != self.n_layers:
             raise ShapeError(f"{self.prefix}: expected {self.n_layers} states, got {len(states)}")
         new_states = []
@@ -193,26 +172,10 @@ class DecoderStack:
             new_states.append(inp)
         return new_states
 
-
-def sequence_log_prob(step_fn, init_state, target_ids, bos_id: int, eos_id: int) -> Tensor:
-    """Teacher-forced total log probability of target + end marker.
-
-    ``step_fn(state, prev_token_id) -> (state, logits (1, V))``. The start
-    marker is fed but never predicted; the end marker is predicted after the
-    last target token, so a target of length T scores T+1 positions.
-    """
-    target_ids = list(target_ids)
-    if not target_ids:
-        raise ShapeError("sequence_log_prob: empty target")
-    inputs = [bos_id] + target_ids
-    golds = target_ids + [eos_id]
-    state = init_state
-    ces = []
-    for prev, gold in zip(inputs, golds):
-        state, logits = step_fn(state, prev)
-        ces.append(cross_entropy_from_logits(logits, [gold]))
-    total_nll = sum_all(ces[0] if len(ces) == 1 else concat(ces, axis=0))
-    return scale(total_nll, -1.0)
+    def logits(self, h: Tensor) -> Tensor:
+        """Project the top layer's state to vocabulary logits (batch, V)."""
+        return add(matmul(h, self._params[f"{self.prefix}.W_d"]),
+                   self._params[f"{self.prefix}.b_d"])
 
 
 def sample_sequence(step_fn, init_state, bos_id: int, eos_id: int, max_len: int,

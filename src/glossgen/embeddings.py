@@ -103,14 +103,6 @@ def load_word_embeddings(path, vocab, seed: int, trainable: bool = False,
     return EmbeddingTable(matrix, trainable=trainable), coverage
 
 
-def random_word_embeddings(vocab, dim: int, seed: int, trainable: bool = False):
-    """Table with every non-pad row uniform(-0.1, 0.1); for runs without a file."""
-    rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
-    matrix[vocab.pad_id] = 0.0
-    return EmbeddingTable(matrix, trainable=trainable)
-
-
 class CharVocabulary:
     """Fixed character inventory: boundary=0, unknown=1, then the alphabet."""
 

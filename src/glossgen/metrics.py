@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MULTI_KINDS
 from .data import find_target_occurrence
-
-MULTI_KINDS = ("parallel", "hier-du", "hier-ud")
 
 
 class MetricsError(Exception):
@@ -85,23 +84,26 @@ def rouge_l(candidate, reference) -> float:
 
 
 def perplexity(model, entries, task: str = "definition", batch_size: int = 16) -> float:
-    """exp(total teacher-forced NLL / total scored tokens, end marker included)."""
+    """exp(total teacher-forced NLL / total scored tokens, end marker included).
+
+    ``task`` "all" pools every task the model scores, weighted by token counts.
+    """
     entries = list(entries)
     if not entries:
         raise MetricsError("perplexity: empty corpus")
-    if task not in ("definition", "usage"):
+    if task not in ("definition", "usage", "all"):
         raise MetricsError(f"perplexity: unknown task {task!r}")
     total, count = 0.0, 0
     for i in range(0, len(entries), batch_size):
         out = model.forward_batch(entries[i:i + batch_size])
-        if task == "definition":
+        if task != "usage":
             total += out.def_total_nll
             count += out.def_tokens
-        else:
-            if out.usg_total_nll is None:
-                raise MetricsError("perplexity: model does not score the usage task")
+        if task != "definition" and out.usg_total_nll is not None:
             total += out.usg_total_nll
             count += out.usg_tokens
+        elif task == "usage":
+            raise MetricsError("perplexity: model does not score the usage task")
     return float(np.exp(total / count))
 
 

@@ -13,16 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax as np_softmax
 
 from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, sum_all
-from .config import ModelConfig
+from .config import MULTI_KINDS, ModelConfig
 from .data import Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, GatedInputBuilder, InitStateProjector, sample_sequence
 from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, EmbeddingTable, glorot
 from .encoder import ContextEncoder, SenseAttention
-
-MULTI_KINDS = ("parallel", "hier-du", "hier-ud")
 
 
 def _gru_param_count(input_dim: int, hidden_dim: int) -> int:
@@ -74,26 +71,11 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
 @dataclass
 class ForwardOutput:
     loss: Tensor                      # optimization objective (scalar)
-    def_loss: Tensor                  # token-mean definition NLL (scalar)
     def_total_nll: float
     def_tokens: int
-    usg_loss: Tensor | None = None
     usg_total_nll: float | None = None
     usg_tokens: int | None = None
-    def_step_dists: list[np.ndarray] | None = None
-    usg_step_dists: list[np.ndarray] | None = None
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def def_log_prob(self) -> float:
-        return -self.def_total_nll
-
-
-def multi_task_loss(out: ForwardOutput) -> Tensor:
-    """Unweighted sum of the two token-mean task losses."""
-    if out.usg_loss is None:
-        raise ShapeError("multi_task_loss: output has no usage task")
-    return add(out.def_loss, out.usg_loss)
 
 
 class DefinitionModel:
@@ -199,16 +181,6 @@ class DefinitionModel:
 
     # -- conditioning -------------------------------------------------------
 
-    def _zero_condition(self, batch: int):
-        """Pre-training regime: every conditioning feature is a zero vector
-        and all decoder layers start at zero, leaving only y_{t-1} live."""
-        a = Tensor(np.zeros((batch, self.cfg.d_w)))
-        c = Tensor(np.zeros((batch, CHAR_FEATURE_DIM))) if self.cfg.char_on else None
-        e_star = Tensor(np.zeros((batch, self.cfg.d_e))) if self.cfg.contextual_on else None
-        s0 = [Tensor(np.zeros((batch, self.cfg.d_s)))
-              for _ in range(self.cfg.n_decoder_layers)]
-        return a, c, e_star, s0, []
-
     def _condition(self, entries):
         rows_a, rows_v, rows_vc, rows_c, rows_e = [], [], [], [], []
         warnings = []
@@ -244,7 +216,7 @@ class DefinitionModel:
         s0 = self.init_proj.init_state(v_star_b, v_c_b, batch=len(entries))
         return a, c, e_star, s0, warnings
 
-    # -- teacher-forced losses ----------------------------------------------
+    # -- decoding -----------------------------------------------------------
 
     def _teacher_arrays(self, seqs):
         pad, bos, eos = self.vocab.pad_id, self.vocab.bos_id, self.vocab.eos_id
@@ -260,105 +232,79 @@ class DefinitionModel:
             mask[i, :n] = 1.0
         return inputs, golds, mask
 
-    def _decode_loss(self, stack, gate, s0, a, c, e_star, seqs, collect=False):
-        inputs, golds, mask = self._teacher_arrays(seqs)
-        states = s0
-        ces, dists = [], []
-        for t in range(inputs.shape[1]):
-            y = self.embedding.embed(inputs[:, t])
-            x = gate.build(a, y, c, e_star)
-            states, logits = stack.step(states, x)
-            ce = cross_entropy_from_logits(logits, golds[:, t])
-            ces.append(mul(ce, Tensor(mask[:, t])))
-            if collect:
-                dists.append(np_softmax(logits.data, axis=1))
-        total = sum_all(ces[0] if len(ces) == 1 else concat(ces, axis=0))
-        count = int(mask.sum())
-        return scale(total, 1.0 / count), float(total.data), count, dists
+    def _route(self, task: str):
+        """(lower, upper, gate) for a task: ``upper`` emits the task's tokens
+        from inputs built by ``gate``; ``lower``, when set, is the other task's
+        stack, re-run on the same inputs beneath it (the hierarchical kinds)."""
+        kind = self.cfg.kind
+        if task == "definition":
+            return (self.usg_stack if kind == "hier-ud" else None,
+                    self.def_stack, self.def_gate)
+        if task != "usage":
+            raise ShapeError(f"unknown task {task!r}")
+        if kind not in MULTI_KINDS:
+            raise ShapeError("usage generation requires a multi-task model kind")
+        return (self.def_stack if kind == "hier-du" else None,
+                self.usg_stack, self.usg_gate)
 
-    def _hier_upper_loss(self, lower, upper, gate, s0, a, c, e_star, seqs,
-                         collect=False):
-        """Supervise ``upper`` on ``seqs``; ``lower`` is re-run over the same
-        gated inputs and its top state feeds the shortcut projection."""
+    def _step(self, route, states, prev_ids, a, c, e_star):
+        """One decode step; ``states`` is (lower states, upper states) and the
+        lower half is carried unchanged when the route has no lower stack."""
+        lower, upper, gate = route
+        low, up = states
+        x = gate.build(a, self.embedding.embed(prev_ids), c, e_star)
+        if lower is not None:
+            low = lower.step(low, x)
+            x = matmul(concat([x, low[-1]], axis=1), self.shortcut)
+        up = upper.step(up, x)
+        return (low, up), upper.logits(up[-1])
+
+    def _decode_loss(self, route, s0, a, c, e_star, seqs):
+        """Teacher-forced NLL of ``seqs``: (token mean, total, token count)."""
         inputs, golds, mask = self._teacher_arrays(seqs)
-        low_states = s0
-        up_states = s0
-        ces, dists = [], []
+        states = (s0, s0)
+        ces = []
         for t in range(inputs.shape[1]):
-            y = self.embedding.embed(inputs[:, t])
-            x = gate.build(a, y, c, e_star)
-            low_states = lower.hidden_step(low_states, x)
-            s_prime = low_states[-1]
-            proj = matmul(concat([x, s_prime], axis=1), self.shortcut)
-            up_states, logits = upper.step(up_states, proj)
+            states, logits = self._step(route, states, inputs[:, t], a, c, e_star)
             ce = cross_entropy_from_logits(logits, golds[:, t])
             ces.append(mul(ce, Tensor(mask[:, t])))
-            if collect:
-                dists.append(np_softmax(logits.data, axis=1))
         total = sum_all(ces[0] if len(ces) == 1 else concat(ces, axis=0))
         count = int(mask.sum())
-        return scale(total, 1.0 / count), float(total.data), count, dists
+        return scale(total, 1.0 / count), float(total.data), count
 
     # -- public forward -----------------------------------------------------
 
-    def forward_batch(self, entries, collect_dists: bool = False,
-                      zero_conditioning: bool = False) -> ForwardOutput:
+    def forward_batch(self, entries) -> ForwardOutput:
         entries = list(entries)
         if not entries:
             raise ShapeError("forward: empty batch")
         for e in entries:
             if not e.definition:
                 raise ShapeError(f"entry {e.entry_id}: missing definition")
-        multi = self.cfg.kind in MULTI_KINDS
-        if multi:
+        tasks = ["definition"]
+        if self.cfg.kind in MULTI_KINDS:
             for e in entries:
                 if not e.usage:
                     raise ShapeError(
                         f"entry {e.entry_id}: model kind {self.cfg.kind} requires usage text")
-        if zero_conditioning:
-            a, c, e_star, s0, warnings = self._zero_condition(len(entries))
-        else:
-            a, c, e_star, s0, warnings = self._condition(entries)
-        def_seqs = [self.vocab.encode(e.definition) for e in entries]
-
-        if not multi:
-            mean, total, count, dists = self._decode_loss(
-                self.def_stack, self.def_gate, s0, a, c, e_star, def_seqs,
-                collect=collect_dists)
-            return ForwardOutput(loss=mean, def_loss=mean, def_total_nll=total,
-                                 def_tokens=count,
-                                 def_step_dists=dists if collect_dists else None,
+            tasks.append("usage")
+        a, c, e_star, s0, warnings = self._condition(entries)
+        # A task with a lower stack decodes last (hier-ud scores usage first):
+        # the order fixes the tape, and with it the gradient summation order.
+        tasks.sort(key=lambda task: self._route(task)[0] is not None)
+        scored = {}
+        for task in tasks:
+            seqs = [self.vocab.encode(e.definition if task == "definition" else e.usage)
+                    for e in entries]
+            scored[task] = self._decode_loss(self._route(task), s0, a, c, e_star, seqs)
+        d_mean, d_total, d_count = scored["definition"]
+        if "usage" not in scored:
+            return ForwardOutput(loss=d_mean, def_total_nll=d_total, def_tokens=d_count,
                                  warnings=warnings)
-
-        usg_seqs = [self.vocab.encode(e.usage) for e in entries]
-        if self.cfg.kind == "parallel":
-            d_mean, d_total, d_count, d_dists = self._decode_loss(
-                self.def_stack, self.def_gate, s0, a, c, e_star, def_seqs,
-                collect=collect_dists)
-            u_mean, u_total, u_count, u_dists = self._decode_loss(
-                self.usg_stack, self.usg_gate, s0, a, c, e_star, usg_seqs,
-                collect=collect_dists)
-        elif self.cfg.kind == "hier-du":
-            d_mean, d_total, d_count, d_dists = self._decode_loss(
-                self.def_stack, self.def_gate, s0, a, c, e_star, def_seqs,
-                collect=collect_dists)
-            u_mean, u_total, u_count, u_dists = self._hier_upper_loss(
-                self.def_stack, self.usg_stack, self.usg_gate, s0, a, c, e_star,
-                usg_seqs, collect=collect_dists)
-        else:  # hier-ud
-            u_mean, u_total, u_count, u_dists = self._decode_loss(
-                self.usg_stack, self.usg_gate, s0, a, c, e_star, usg_seqs,
-                collect=collect_dists)
-            d_mean, d_total, d_count, d_dists = self._hier_upper_loss(
-                self.usg_stack, self.def_stack, self.def_gate, s0, a, c, e_star,
-                def_seqs, collect=collect_dists)
-        return ForwardOutput(loss=add(d_mean, u_mean), def_loss=d_mean,
-                             def_total_nll=d_total, def_tokens=d_count,
-                             usg_loss=u_mean, usg_total_nll=u_total,
-                             usg_tokens=u_count,
-                             def_step_dists=d_dists if collect_dists else None,
-                             usg_step_dists=u_dists if collect_dists else None,
-                             warnings=warnings)
+        u_mean, u_total, u_count = scored["usage"]
+        return ForwardOutput(loss=add(d_mean, u_mean), def_total_nll=d_total,
+                             def_tokens=d_count, usg_total_nll=u_total,
+                             usg_tokens=u_count, warnings=warnings)
 
     def forward(self, entry) -> ForwardOutput:
         return self.forward_batch([entry])
@@ -366,17 +312,23 @@ class DefinitionModel:
     def lm_loss(self, token_seqs):
         """Unconditional language-model loss over raw id sequences.
 
-        Used by decoder pre-training: conditioning features are zero vectors,
+        Used by decoder pre-training: every conditioning feature is a zero
+        vector and all decoder layers start at zero, leaving only y_{t-1} live,
         so only the definition decoder, its gate, and the trainable special
         embedding rows receive gradients. Returns (mean loss, total, count).
         """
         seqs = [list(s) for s in token_seqs]
         if not seqs or any(not s for s in seqs):
             raise ShapeError("lm_loss: empty sentence in batch")
-        a, c, e_star, s0, _ = self._zero_condition(len(seqs))
-        mean, total, count, _ = self._decode_loss(
-            self.def_stack, self.def_gate, s0, a, c, e_star, seqs)
-        return mean, total, count
+        batch = len(seqs)
+        m = self.cfg
+        a = Tensor(np.zeros((batch, m.d_w)))
+        c = Tensor(np.zeros((batch, CHAR_FEATURE_DIM))) if m.char_on else None
+        e_star = Tensor(np.zeros((batch, m.d_e))) if m.contextual_on else None
+        s0 = [Tensor(np.zeros((batch, m.d_s))) for _ in range(m.n_decoder_layers)]
+        # The bare definition route for every kind: no lower stack underneath.
+        return self._decode_loss((None, self.def_stack, self.def_gate), s0, a, c,
+                                 e_star, seqs)
 
     def pretrainable_params(self) -> dict[str, Tensor]:
         """Parameters that receive gradients in the zero-conditioned regime."""
@@ -388,47 +340,19 @@ class DefinitionModel:
 
     # -- generation ---------------------------------------------------------
 
-    def _make_step_fn(self, task: str, a, c, e_star):
-        """Single-entry step closure: (states, prev_id) -> (states, logits)."""
-        multi = self.cfg.kind in MULTI_KINDS
-        if task == "usage" and not multi:
-            raise ShapeError("usage generation requires a multi-task model kind")
-
-        if task == "definition" and self.cfg.kind == "hier-ud":
-            lower, upper, gate = self.usg_stack, self.def_stack, self.def_gate
-        elif task == "usage" and self.cfg.kind == "hier-du":
-            lower, upper, gate = self.def_stack, self.usg_stack, self.usg_gate
-        else:
-            lower = None
-            if task == "definition":
-                upper, gate = self.def_stack, self.def_gate
-            else:
-                upper, gate = self.usg_stack, self.usg_gate
-
-        def step(states, prev_id):
-            y = self.embedding.embed([prev_id])
-            x = gate.build(a, y, c, e_star)
-            if lower is None:
-                up_states, logits = upper.step(states[0], x)
-                return (up_states,), logits
-            low_states = lower.hidden_step(states[0], x)
-            proj = matmul(concat([x, low_states[-1]], axis=1), self.shortcut)
-            up_states, logits = upper.step(states[1], proj)
-            return (low_states, up_states), logits
-
-        coupled = lower is not None
-        return step, coupled
-
     def generate(self, entry, task: str = "definition", temperature: float | None = None,
                  seed: int = 0, max_len: int | None = None):
         """Sample one sequence for the entry; returns (tokens, metadata)."""
         temperature = self.cfg.temperature if temperature is None else temperature
         max_len = self.cfg.max_gen_len if max_len is None else max_len
         a, c, e_star, s0, warnings = self._condition([entry])
-        step, coupled = self._make_step_fn(task, a, c, e_star)
-        init = (s0, s0) if coupled else (s0,)
+        route = self._route(task)
+
+        def step(states, prev_id):
+            return self._step(route, states, [prev_id], a, c, e_star)
+
         rng = np.random.default_rng(seed)
-        ids = sample_sequence(step, init, self.vocab.bos_id, self.vocab.eos_id,
+        ids = sample_sequence(step, (s0, s0), self.vocab.bos_id, self.vocab.eos_id,
                               max_len, temperature, rng)
         meta = {
             "task": task,

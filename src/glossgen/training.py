@@ -10,6 +10,7 @@ checkpoint is whichever epoch minimizes it.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .autodiff import (AdamState, NumericalError, Tape, adam_step, backward,
 from .checkpoint import save_checkpoint, save_pretrained
 from .config import Config
 from .data import DictionaryEntry, find_target_occurrence, tokenize
+from .metrics import perplexity
 
 
 class TrainingError(Exception):
@@ -42,34 +44,55 @@ def _batches(items: list, batch_size: int, rng: np.random.Generator | None):
         yield [items[j] for j in order[i:i + batch_size]]
 
 
-def validation_ppl(model, entries, batch_size: int = 16) -> float:
-    """exp of the token-weighted NLL pooled over all tasks the model scores."""
-    entries = list(entries)
-    if not entries:
-        raise TrainingError("validation: empty corpus")
-    total, count = 0.0, 0
-    for i in range(0, len(entries), batch_size):
-        out = model.forward_batch(entries[i:i + batch_size])
-        total += out.def_total_nll
-        count += out.def_tokens
-        if out.usg_total_nll is not None:
-            total += out.usg_total_nll
-            count += out.usg_tokens
-    return float(np.exp(total / count))
+def _log(fh, record: dict) -> None:
+    if fh is not None:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.flush()
 
 
-class _Logger:
-    def __init__(self, path):
-        self._fh = open(path, "w", encoding="utf-8") if path else None
+def _fit(params, t, items, epochs: int, loss_of, where, log_path,
+         end_epoch=None) -> list[dict]:
+    """The fit loop: Adam on minibatches of ``items``, reshuffled each epoch.
 
-    def write(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+    ``loss_of(batch)`` builds the scalar loss on the active tape and
+    ``where(epoch, step, batch)`` names the step in error messages. A
+    non-finite loss or gradient norm aborts before Adam touches a parameter.
+    ``end_epoch(record)``, when given, adds fields to the epoch's record
+    before it is logged and returns True to stop. Returns the epoch records.
+    """
+    adam = AdamState(lr=t.lr, beta1=t.beta1, beta2=t.beta2, eps=t.eps)
+    history: list[dict] = []
+    step = 0
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
+        for epoch in range(1, epochs + 1):
+            rng = np.random.default_rng((t.seed, epoch))
+            epoch_loss, epoch_batches = 0.0, 0
+            for batch in _batches(items, t.batch_size, rng):
+                step += 1
+                zero_grads(params)
+                try:
+                    with Tape() as tape:
+                        loss = loss_of(batch)
+                        backward(tape, loss)
+                except NumericalError as exc:
+                    raise TrainingError(
+                        f"non-finite values at {where(epoch, step, batch)}: {exc}") from exc
+                norm = clip_global_norm(params, t.clip_norm)
+                if not np.isfinite(norm):
+                    raise TrainingError(
+                        f"non-finite gradient norm {norm} at {where(epoch, step, batch)}")
+                adam_step(params, adam)
+                loss_val = float(loss.data)
+                epoch_loss += loss_val
+                epoch_batches += 1
+                _log(log, {"epoch": epoch, "step": step, "loss": loss_val})
+            record = {"epoch": epoch, "mean_train_loss": epoch_loss / epoch_batches}
+            stop = end_epoch is not None and end_epoch(record)
+            history.append(record)
+            _log(log, record)
+            if stop:
+                break
+    return history
 
 
 def train(model, cfg: Config, train_entries, valid_entries,
@@ -87,57 +110,36 @@ def train(model, cfg: Config, train_entries, valid_entries,
     if not train_entries:
         raise TrainingError("train: empty training corpus")
     t = cfg.train
-    params = model.params()
-    adam = AdamState(lr=t.lr, beta1=t.beta1, beta2=t.beta2, eps=t.eps)
-    log = _Logger(log_path)
     best_ppl, best_epoch, since_improve = float("inf"), 0, 0
-    history: list[dict] = []
-    step = 0
-    try:
-        for epoch in range(1, t.max_epochs + 1):
-            rng = np.random.default_rng((t.seed, epoch))
-            epoch_loss, epoch_batches = 0.0, 0
-            for batch in _batches(train_entries, t.batch_size, rng):
-                step += 1
-                zero_grads(params)
-                try:
-                    with Tape() as tape:
-                        out = model.forward_batch(batch)
-                        backward(tape, out.loss)
-                except NumericalError as exc:
-                    ids = ", ".join(e.entry_id for e in batch)
-                    raise TrainingError(
-                        f"non-finite values at epoch {epoch} step {step} "
-                        f"(batch entries: {ids}): {exc}") from exc
-                clip_global_norm(params, t.clip_norm)
-                adam_step(params, adam)
-                loss_val = float(out.loss.data)
-                epoch_loss += loss_val
-                epoch_batches += 1
-                log.write({"epoch": epoch, "step": step, "loss": loss_val})
-            ppl = validation_ppl(model, valid_entries) if valid_entries else float("nan")
-            record = {"epoch": epoch, "mean_train_loss": epoch_loss / epoch_batches,
-                      "valid_ppl": ppl}
-            history.append(record)
-            log.write(record)
-            improved = not valid_entries or ppl < best_ppl
-            if improved:
-                best_ppl, best_epoch, since_improve = ppl, epoch, 0
-                if checkpoint_path is not None:
-                    meta = {"best_epoch": epoch, "valid_ppl": ppl}
-                    meta.update(extra_meta or {})
-                    save_checkpoint(checkpoint_path, model, cfg, extra_meta=meta)
-            else:
-                since_improve += 1
-                if since_improve > t.patience:
-                    break
-            if stop_ppl is not None and ppl <= stop_ppl:
-                break
-        return TrainResult(best_epoch=best_epoch, best_ppl=best_ppl,
-                           epochs_run=len(history), history=history,
-                           checkpoint_path=checkpoint_path)
-    finally:
-        log.close()
+
+    def where(epoch, step, batch):
+        ids = ", ".join(e.entry_id for e in batch)
+        return f"epoch {epoch} step {step} (batch entries: {ids})"
+
+    def end_epoch(record) -> bool:
+        nonlocal best_ppl, best_epoch, since_improve
+        epoch = record["epoch"]
+        ppl = (perplexity(model, valid_entries, task="all") if valid_entries
+               else float("nan"))
+        record["valid_ppl"] = ppl
+        if not valid_entries or ppl < best_ppl:
+            best_ppl, best_epoch, since_improve = ppl, epoch, 0
+            if checkpoint_path is not None:
+                meta = {"best_epoch": epoch, "valid_ppl": ppl}
+                meta.update(extra_meta or {})
+                save_checkpoint(checkpoint_path, model, cfg, extra_meta=meta)
+        else:
+            since_improve += 1
+            if since_improve > t.patience:
+                return True
+        return stop_ppl is not None and ppl <= stop_ppl
+
+    history = _fit(model.params(), t, train_entries, t.max_epochs,
+                   lambda batch: model.forward_batch(batch).loss, where, log_path,
+                   end_epoch)
+    return TrainResult(best_epoch=best_epoch, best_ppl=best_ppl,
+                       epochs_run=len(history), history=history,
+                       checkpoint_path=checkpoint_path)
 
 
 def load_lm_sentences(path, vocab, min_tokens: int = 1) -> list[list[int]]:
@@ -165,41 +167,14 @@ def pretrain_decoder(model, cfg: Config, sentences, out_path=None,
     if not sentences:
         raise TrainingError("pretrain: empty sentence corpus")
     t = cfg.train
-    params = model.pretrainable_params()
-    adam = AdamState(lr=t.lr, beta1=t.beta1, beta2=t.beta2, eps=t.eps)
-    log = _Logger(log_path)
-    history: list[dict] = []
-    step = 0
-    try:
-        for epoch in range(1, t.pretrain_epochs + 1):
-            rng = np.random.default_rng((t.seed, epoch))
-            epoch_loss, epoch_batches = 0.0, 0
-            for batch in _batches(sentences, t.batch_size, rng):
-                step += 1
-                zero_grads(params)
-                try:
-                    with Tape() as tape:
-                        mean, _, _ = model.lm_loss(batch)
-                        backward(tape, mean)
-                except NumericalError as exc:
-                    raise TrainingError(
-                        f"non-finite values at pretrain epoch {epoch} "
-                        f"step {step}: {exc}") from exc
-                clip_global_norm(params, t.clip_norm)
-                adam_step(params, adam)
-                loss_val = float(mean.data)
-                epoch_loss += loss_val
-                epoch_batches += 1
-                log.write({"epoch": epoch, "step": step, "loss": loss_val})
-            record = {"epoch": epoch, "mean_train_loss": epoch_loss / epoch_batches}
-            history.append(record)
-            log.write(record)
-        if out_path is not None:
-            save_pretrained(out_path, model,
-                            extra_meta={"pretrain_epochs": t.pretrain_epochs})
-        return history
-    finally:
-        log.close()
+    history = _fit(model.pretrainable_params(), t, sentences, t.pretrain_epochs,
+                   lambda batch: model.lm_loss(batch)[0],
+                   lambda epoch, step, batch: f"pretrain epoch {epoch} step {step}",
+                   log_path)
+    if out_path is not None:
+        save_pretrained(out_path, model,
+                        extra_meta={"pretrain_epochs": t.pretrain_epochs})
+    return history
 
 
 def make_query_entry(word: str, context: str, entry_id: str = "query") -> DictionaryEntry:

@@ -101,12 +101,6 @@ class TestForward:
         out = ad.slice_axis(x, axis=1, start=1, stop=4)
         assert np.array_equal(out.data, [[1, 2, 3], [6, 7, 8]])
 
-    def test_forward_primitive_dispatch(self):
-        out = ad.forward_primitive("tanh", Tensor([0.0]))
-        assert out.data[0] == 0.0
-        with pytest.raises(AutodiffError):
-            ad.forward_primitive("pow", Tensor([1.0]))
-
 
 class TestBackward:
     def test_square_gradient(self):

@@ -124,6 +124,36 @@ class TestGuards:
             read_meta(path)
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("save", ["checkpoint", "pretrained"])
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, save):
+        def write(path, model):
+            if save == "checkpoint":
+                save_checkpoint(path, model, full_cfg())
+            else:
+                save_pretrained(path, model)
+
+        path = tmp_path / "m.npz"
+        write(path, build(seed=1))
+        before = path.read_bytes()
+
+        def savez_then_crash(fh, **arrays):
+            fh.write(b"partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_crash)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, build(seed=2))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
+        if save == "checkpoint":
+            loaded, _, _ = load_checkpoint(path)
+            assert loaded.seed == 1
+        else:
+            assert load_pretrained(path, build(seed=3))
+
+
 class TestPretrained:
     def test_round_trip_restores_decoder_branch(self, tmp_path):
         src = build(seed=7)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from glossgen.cli import main, resolve_data_path
+from glossgen.data import load_corpus, split_by_sense
 
 MICRO_CFG = """
 model.d_w = 8
@@ -141,6 +142,42 @@ class TestTrain:
         assert "warm start" in capsys.readouterr().out
 
 
+class TestContextualFile:
+    """``data.contextual_file`` supplies one precomputed vector per entry id."""
+
+    def write_vectors(self, path, skip=()):
+        entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
+        rng = np.random.default_rng(0)
+        with open(path, "w", encoding="utf-8") as fh:
+            for e in entries:
+                if e.entry_id not in skip:
+                    fh.write(e.entry_id + " " + " ".join(f"{v:.6f}" for v in rng.normal(size=8))
+                             + "\n")
+        return entries
+
+    def args(self, cfg_path, out, vectors):
+        return ["--config", cfg_path, "--seed", "0", "--out-dir", str(out),
+                "--override", "model.contextual_on=true",
+                "--override", "train.max_epochs=1",
+                "--override", f"data.contextual_file={vectors}"]
+
+    def test_full_coverage_trains_and_evaluates(self, cfg_path, tmp_path, capsys):
+        vectors = tmp_path / "ctx.txt"
+        self.write_vectors(vectors)
+        run = tmp_path / "run"
+        assert main(["train"] + self.args(cfg_path, run, vectors)) == 0
+        assert main(["eval", "--checkpoint", str(run / "model.npz")]
+                    + self.args(cfg_path, tmp_path / "ev", vectors)) == 0
+
+    def test_missing_entry_is_user_error(self, cfg_path, tmp_path, capsys):
+        entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
+        missing = split_by_sense(entries, (0.8, 0.1, 0.1), 0)[0][0].entry_id
+        vectors = tmp_path / "ctx.txt"
+        self.write_vectors(vectors, skip={missing})
+        assert main(["train"] + self.args(cfg_path, tmp_path / "run", vectors)) == 1
+        assert missing in capsys.readouterr().err
+
+
 class TestEvalAndGenerate:
     def test_eval_writes_report(self, trained, tmp_path, capsys):
         out = tmp_path / "ev"
@@ -204,6 +241,11 @@ class TestErrorsAndPaths:
     def test_bad_override_is_user_error(self, capsys):
         assert main(["data", "validate", "--override", "model.nope=1"]) == 1
         assert "nope" in capsys.readouterr().err
+
+    def test_split_ratios_need_three_parts(self, tmp_path, capsys):
+        assert main(["data", "split", "--out-dir", str(tmp_path / "s"),
+                     "--override", "data.split_ratios=0.5,0.5"]) == 1
+        assert "3 parts" in capsys.readouterr().err
 
     def test_bad_config_value_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

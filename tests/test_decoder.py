@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from glossgen.autodiff import ShapeError, Tape, Tensor, adam_step, AdamState, backward, grad_check, mul, sum_all
+from glossgen.autodiff import ShapeError, Tape, Tensor, adam_step, AdamState, backward, grad_check, mul, softmax, sum_all
+from glossgen.config import ModelConfig
+from glossgen.data import Vocabulary
 from glossgen.decoder import (
     DecoderEmbedding,
     DecoderStack,
     GatedInputBuilder,
     InitStateProjector,
     sample_sequence,
-    sequence_log_prob,
 )
+from glossgen.models import DefinitionModel
 
 
 class TestDecoderEmbedding:
@@ -175,7 +177,8 @@ class TestDecoderStack:
     def test_distribution_is_probability_vector(self):
         stack = self.make()
         rng = np.random.default_rng(1)
-        _, dist = stack.decode_step(self.zero_states(stack), Tensor(rng.normal(size=(1, 6))))
+        states = stack.step(self.zero_states(stack), Tensor(rng.normal(size=(1, 6))))
+        dist = softmax(stack.logits(states[-1]), axis=1)
         assert abs(dist.data.sum() - 1.0) <= 1e-9
         assert np.all(dist.data > 0)
 
@@ -183,14 +186,15 @@ class TestDecoderStack:
         stack = self.make(vocab=10)
         stack._params["dec.W_d"].data[...] = 0.0
         stack._params["dec.b_d"].data[...] = 0.0
-        _, dist = stack.decode_step(self.zero_states(stack),
-                                    Tensor(np.random.default_rng(2).normal(size=(1, 6))))
+        states = stack.step(self.zero_states(stack),
+                            Tensor(np.random.default_rng(2).normal(size=(1, 6))))
+        dist = softmax(stack.logits(states[-1]), axis=1)
         assert np.allclose(dist.data, 0.1)
 
     def test_two_layers_threaded(self):
         stack = self.make()
-        states, _ = stack.step(self.zero_states(stack),
-                               Tensor(np.random.default_rng(3).normal(size=(1, 6))))
+        states = stack.step(self.zero_states(stack),
+                            Tensor(np.random.default_rng(3).normal(size=(1, 6))))
         assert len(states) == 2
         assert not np.allclose(states[0].data, states[1].data)
 
@@ -206,7 +210,7 @@ class TestDecoderStack:
         point = [x] + list(params.values())
 
         def f(x, *rest):
-            _, logits = stack.step(self.zero_states(stack), x)
+            logits = stack.logits(stack.step(self.zero_states(stack), x)[-1])
             return sum_all(mul(logits, logits))
 
         assert grad_check(f, point, coord_limit=10, seed=0) < 1e-6
@@ -225,42 +229,50 @@ class ToyStepFn:
         return state, Tensor(np.array([z]))
 
 
-class TestSequenceLogProb:
-    def test_uniform_decoder(self):
-        # W_d=0 style: constant zero logits over 8 classes, target length 3
-        fn = ToyStepFn([[0.0] * 8])
-        lp = sequence_log_prob(fn, None, [4, 5, 6], bos_id=2, eos_id=3)
-        assert abs(lp.item() - (-(3 + 1) * np.log(8))) < 1e-12
+def lm_model(seed=0):
+    cfg = ModelConfig(d_w=8, d_h=4, d_s=8, d_attn=8, d_e=8, char_on=False,
+                      contextual_on=False)
+    return DefinitionModel(cfg, Vocabulary(["cat", "dog", "sun", "tree"]), seed=seed)
 
-    def test_single_class_vocabulary(self):
-        fn = ToyStepFn([[0.0]])
-        lp = sequence_log_prob(fn, None, [0, 0], bos_id=0, eos_id=0)
-        assert lp.item() == 0.0
+
+class TestSequenceLogProb:
+    """Teacher-forced scoring of a raw id sequence through ``lm_loss``: the
+    start marker is fed but never predicted, the end marker is predicted
+    after the last token, so a sequence of length T scores T+1 positions."""
+
+    def test_uniform_decoder(self):
+        model = lm_model()
+        model.def_stack._params["def.W_d"].data[...] = 0.0
+        model.def_stack._params["def.b_d"].data[...] = 0.0
+        _, total, count = model.lm_loss([[4, 5, 6]])
+        assert count == 3 + 1
+        assert abs(total - (3 + 1) * np.log(8)) < 1e-12
 
     def test_matches_per_step_recomputation(self):
-        rng = np.random.default_rng(7)
-        logits = [list(rng.normal(size=6)) for _ in range(4)]
-        lp = sequence_log_prob(ToyStepFn(logits), None, [4, 1, 5], bos_id=2, eos_id=3)
+        model = lm_model(seed=7)
+        seq = [4, 7, 5]
+        _, total, _ = model.lm_loss([seq])
+        route = (None, model.def_stack, model.def_gate)
+        zeros = lambda n: Tensor(np.zeros((1, n)))  # noqa: E731
+        states = ([zeros(8), zeros(8)], [zeros(8), zeros(8)])
         expected = 0.0
-        for z, gold in zip(logits, [4, 1, 5, 3]):
-            z = np.array(z)
-            expected += z[gold] - np.log(np.exp(z - z.max()).sum()) - z.max()
-        assert abs(lp.item() - expected) < 1e-9
+        for prev, gold in zip([model.vocab.bos_id] + seq, seq + [model.vocab.eos_id]):
+            states, logits = model._step(route, states, [prev], zeros(8), None, None)
+            z = logits.data[0]
+            expected -= z[gold] - z.max() - np.log(np.exp(z - z.max()).sum())
+        assert abs(total - expected) < 1e-9
 
     def test_empty_target_rejected(self):
         with pytest.raises(ShapeError):
-            sequence_log_prob(ToyStepFn([[0.0, 0.0]]), None, [], bos_id=0, eos_id=1)
+            lm_model().lm_loss([[]])
 
     def test_gradient_reaches_logit_source(self):
-        w = Tensor(np.random.default_rng(8).normal(size=(1, 5)), requires_grad=True)
-
-        def step(state, prev):
-            return state, mul(w, w)
-
+        model = lm_model()
+        w_d = model.def_stack.params()["def.W_d"]
         with Tape() as tape:
-            lp = sequence_log_prob(step, None, [2], bos_id=0, eos_id=1)
-            backward(tape, lp)
-        assert np.any(w.grad != 0)
+            mean, _, _ = model.lm_loss([[4]])
+            backward(tape, mean)
+        assert np.any(w_d.grad != 0)
 
 
 class TestSampling:

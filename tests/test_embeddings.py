@@ -68,7 +68,8 @@ class TestWordEmbeddings:
         assert np.array_equal(table.tensor.data, before)
 
     def test_trainable_table_moves(self):
-        table = E.random_word_embeddings(small_vocab(), dim=4, seed=1, trainable=True)
+        matrix = np.random.default_rng(1).uniform(-0.1, 0.1, size=(len(small_vocab()), 4))
+        table = E.EmbeddingTable(matrix, trainable=True)
         params = table.params("enc")
         assert set(params) == {"enc.table"}
         with Tape() as tape:

@@ -4,7 +4,7 @@ import pytest
 from glossgen.autodiff import AdamState, ShapeError, Tape, adam_step, backward, grad_check, zero_grads
 from glossgen.config import ModelConfig
 from glossgen.data import DictionaryEntry, Vocabulary
-from glossgen.models import DefinitionModel, expected_param_count, gated_input_dim, multi_task_loss
+from glossgen.models import DefinitionModel, expected_param_count, gated_input_dim
 
 WORDS = ["check", "run", "walk", "cat", "dog", "sun", "tree", "bird",
          "fish", "rock", "rain", "wind", "fire", "snow", "moon", "star"]
@@ -36,6 +36,22 @@ def entry(word="check", definition=("a", "small", "mark"), context=None, usage=N
 def usage_entry(**kw):
     kw.setdefault("usage", ["the", kw.get("word", "check"), "works"])
     return entry(**kw)
+
+
+def stepwise_nll(model, e, task):
+    """Total NLL of the entry's gold sequence, recomputed one ``_step`` at a
+    time exactly as ``generate`` feeds its sampler."""
+    a, c, e_star, s0, _ = model._condition([e])
+    route = model._route(task)
+    gold = model.vocab.encode(e.definition if task == "definition" else e.usage)
+    gold.append(model.vocab.eos_id)
+    states, prev, nll = (s0, s0), model.vocab.bos_id, 0.0
+    for g in gold:
+        states, logits = model._step(route, states, [prev], a, c, e_star)
+        z = logits.data[0]
+        nll -= z[g] - z.max() - np.log(np.exp(z - z.max()).sum())
+        prev = g
+    return nll, len(gold)
 
 
 class TestParamCounts:
@@ -75,11 +91,10 @@ class TestForwardSingle:
     def test_nll_matches_stepwise_recomputation(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=1)
         e = entry()
-        out = model.forward_batch([e], collect_dists=True)
-        gold = model.vocab.encode(e.definition) + [model.vocab.eos_id]
-        recomputed = -sum(np.log(dist[0, g]) for dist, g in zip(out.def_step_dists, gold))
+        out = model.forward_batch([e])
+        recomputed, tokens = stepwise_nll(model, e, "definition")
         assert abs(out.def_total_nll - recomputed) < 1e-9
-        assert out.def_tokens == len(gold)
+        assert out.def_tokens == tokens
 
     def test_loss_is_token_mean(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=1)
@@ -87,13 +102,13 @@ class TestForwardSingle:
         assert abs(out.loss.item() - out.def_total_nll / out.def_tokens) < 1e-12
 
     def test_zero_conditioning_is_pure_language_model(self):
-        model = DefinitionModel(micro_cfg(s0_variant="zeros"), make_vocab(), seed=2)
-        a = entry(word="cat", definition=["a", "small", "mark"])
-        b = entry(word="dog", definition=["a", "small", "mark"],
-                  context=["the", "dog", "runs"])
-        out_a = model.forward_batch([a], zero_conditioning=True)
-        out_b = model.forward_batch([b], zero_conditioning=True)
-        assert out_a.def_total_nll == out_b.def_total_nll
+        # lm_loss depends on the definition decoder alone: no usage stack or
+        # shortcut runs beneath it, whatever the kind.
+        vocab = make_vocab()
+        seqs = [vocab.encode(["a", "small", "mark"])]
+        totals = {kind: DefinitionModel(micro_cfg(kind=kind), vocab, seed=2).lm_loss(seqs)[1]
+                  for kind in ("single", "parallel", "hier-du", "hier-ud")}
+        assert len(set(totals.values())) == 1
 
     def test_conditioning_differentiates_words(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=2)
@@ -206,17 +221,28 @@ class TestMultiTask:
         ud = DefinitionModel(micro_cfg(kind="hier-ud"), vocab, seed=12).forward(e)
         assert du.def_total_nll != ud.def_total_nll
 
-    def test_multi_task_loss_is_sum_of_means(self):
+    def test_loss_is_sum_of_task_means(self):
         model = DefinitionModel(micro_cfg(kind="parallel"), make_vocab(), seed=13)
         out = model.forward(usage_entry())
-        combined = multi_task_loss(out)
-        assert abs(combined.item() - (out.def_loss.item() + out.usg_loss.item())) < 1e-12
-        assert abs(out.loss.item() - combined.item()) < 1e-12
+        means = out.def_total_nll / out.def_tokens + out.usg_total_nll / out.usg_tokens
+        assert abs(out.loss.item() - means) < 1e-12
 
-    def test_multi_task_loss_rejects_single(self):
+    def test_single_loss_is_definition_mean(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=13)
-        with pytest.raises(ShapeError):
-            multi_task_loss(model.forward(entry()))
+        out = model.forward(entry())
+        assert out.usg_total_nll is None and out.usg_tokens is None
+        assert abs(out.loss.item() - out.def_total_nll / out.def_tokens) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["parallel", "hier-du", "hier-ud"])
+    @pytest.mark.parametrize("task", ["definition", "usage"])
+    def test_sampling_step_reproduces_teacher_forcing(self, kind, task):
+        model = DefinitionModel(micro_cfg(kind=kind), make_vocab(), seed=21)
+        e = usage_entry()
+        out = model.forward(e)
+        recomputed, tokens = stepwise_nll(model, e, task)
+        total = out.def_total_nll if task == "definition" else out.usg_total_nll
+        assert abs(total - recomputed) < 1e-9
+        assert tokens == (out.def_tokens if task == "definition" else out.usg_tokens)
 
 
 class TestGradients:

@@ -5,9 +5,10 @@ import glossgen.training as training
 from glossgen.checkpoint import CheckpointError, load_checkpoint, load_pretrained
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
 from glossgen.data import DictionaryEntry, Vocabulary
+from glossgen.metrics import MetricsError, perplexity
 from glossgen.models import DefinitionModel
 from glossgen.training import (TrainingError, load_lm_sentences, make_query_entry,
-                               pretrain_decoder, train, validation_ppl)
+                               pretrain_decoder, train)
 
 WORDS = ["check", "run", "walk", "cat", "dog", "sun", "tree", "bird",
          "fish", "rock", "rain", "wind", "fire", "snow", "moon", "star"]
@@ -50,31 +51,33 @@ def build(seed=0, **kw):
 
 
 class TestValidationPpl:
+    """Validation perplexity is ``metrics.perplexity`` pooled over all tasks."""
+
     def test_matches_pooled_forward_totals(self):
         model = build(seed=1, kind="parallel")
         entries = corpus(with_usage=True)
         out = model.forward_batch(entries)
         expected = np.exp((out.def_total_nll + out.usg_total_nll)
                           / (out.def_tokens + out.usg_tokens))
-        assert validation_ppl(model, entries) == pytest.approx(expected, rel=1e-12)
+        assert perplexity(model, entries, task="all") == pytest.approx(expected, rel=1e-12)
 
     def test_single_kind_uses_definition_only(self):
         model = build(seed=1)
         entries = corpus()
         out = model.forward_batch(entries)
         expected = np.exp(out.def_total_nll / out.def_tokens)
-        assert validation_ppl(model, entries) == pytest.approx(expected, rel=1e-12)
+        assert perplexity(model, entries, task="all") == pytest.approx(expected, rel=1e-12)
 
     def test_batch_size_does_not_change_result(self):
         model = build(seed=2)
         entries = corpus()
-        a = validation_ppl(model, entries, batch_size=3)
-        b = validation_ppl(model, entries, batch_size=8)
+        a = perplexity(model, entries, task="all", batch_size=3)
+        b = perplexity(model, entries, task="all", batch_size=8)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(TrainingError, match="empty"):
-            validation_ppl(build(), [])
+        with pytest.raises(MetricsError, match="empty"):
+            perplexity(build(), [], task="all")
 
 
 class TestTrainLoop:
@@ -109,7 +112,7 @@ class TestTrainLoop:
 
     def test_patience_counts_consecutive_non_improving_epochs(self, monkeypatch):
         ppls = iter([5.0, 4.0, 4.5, 4.4, 4.3])
-        monkeypatch.setattr(training, "validation_ppl", lambda *a, **k: next(ppls))
+        monkeypatch.setattr(training, "perplexity", lambda *a, **k: next(ppls))
         result = train(build(), full_cfg(max_epochs=5, patience=1), corpus(), corpus()[:2])
         assert result.epochs_run == 4
         assert result.best_epoch == 2
@@ -117,14 +120,14 @@ class TestTrainLoop:
 
     def test_patience_zero_stops_on_first_non_improvement(self, monkeypatch):
         ppls = iter([5.0, 4.0, 4.5, 4.4])
-        monkeypatch.setattr(training, "validation_ppl", lambda *a, **k: next(ppls))
+        monkeypatch.setattr(training, "perplexity", lambda *a, **k: next(ppls))
         result = train(build(), full_cfg(max_epochs=4, patience=0), corpus(), corpus()[:2])
         assert result.epochs_run == 3
         assert result.best_epoch == 2
 
     def test_stop_ppl_halts_early(self, monkeypatch):
         ppls = iter([3.0, 1.2, 1.1])
-        monkeypatch.setattr(training, "validation_ppl", lambda *a, **k: next(ppls))
+        monkeypatch.setattr(training, "perplexity", lambda *a, **k: next(ppls))
         result = train(build(), full_cfg(max_epochs=3, patience=5), corpus(),
                        corpus()[:2], stop_ppl=1.5)
         assert result.epochs_run == 2
@@ -142,7 +145,7 @@ class TestTrainLoop:
         valid = corpus()[:4]
         result = train(build(seed=1), cfg, corpus(), valid, checkpoint_path=path)
         loaded, _, meta = load_checkpoint(path)
-        assert validation_ppl(loaded, valid) == pytest.approx(result.best_ppl, abs=1e-9)
+        assert perplexity(loaded, valid, task="all") == pytest.approx(result.best_ppl, abs=1e-9)
         assert meta["best_epoch"] == result.best_epoch
 
     def test_frozen_table_never_moves(self):
@@ -162,6 +165,36 @@ class TestTrainLoop:
     def test_empty_train_corpus_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
             train(build(), full_cfg(), [], corpus()[:2])
+
+
+class TestNonFiniteGradient:
+    """A NaN gradient stops the fit loop before Adam writes any parameter."""
+
+    def inject_nan(self, monkeypatch, param):
+        real = training.backward
+
+        def backward_then_nan(tape, loss):
+            real(tape, loss)
+            param.grad.flat[0] = np.nan
+
+        monkeypatch.setattr(training, "backward", backward_then_nan)
+
+    def test_train_raises_and_leaves_params(self, monkeypatch):
+        model = build(seed=0)
+        self.inject_nan(monkeypatch, model.params()["def.W_d"])
+        before = {n: t.data.copy() for n, t in model.params().items()}
+        with pytest.raises(TrainingError, match=r"gradient norm nan at epoch 1 step 1"):
+            train(model, full_cfg(), corpus(), corpus()[:2])
+        assert all(np.array_equal(t.data, before[n]) for n, t in model.params().items())
+
+    def test_pretrain_raises_and_leaves_params(self, monkeypatch):
+        model = build(seed=0)
+        self.inject_nan(monkeypatch, model.params()["def.gru0.W_z"])
+        before = {n: t.data.copy() for n, t in model.params().items()}
+        sentences = [model.vocab.encode(["the", w, "is", "here"]) for w in WORDS[:8]]
+        with pytest.raises(TrainingError, match=r"pretrain epoch 1 step 1"):
+            pretrain_decoder(model, full_cfg(pretrain_epochs=1), sentences)
+        assert all(np.array_equal(t.data, before[n]) for n, t in model.params().items())
 
 
 class TestPretrain:
