@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Config, config_from_dict, config_to_dict
 from .data import Vocabulary
-from .embeddings import ContextualProvider
+from .embeddings import CHARS, ContextualProvider
 
 FORMAT_VERSION = 1
 META_KEY = "__meta__"
@@ -66,7 +66,7 @@ def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) ->
         "contextual_seed": model.contextual.seed,
     }
     if model.char_encoder is not None:
-        meta["char_vocab"] = model.char_encoder.char_vocab.chars
+        meta["char_vocab"] = CHARS
     meta.update(extra_meta or {})
     _write(path, meta, model.state_arrays())
 

@@ -32,9 +32,10 @@ from .training import (TrainingError, load_lm_sentences, make_query_entry,
 
 ENV_DATA_DIR = "GLOSSGEN_DATA_DIR"
 
+# OSError covers unreadable paths; UnicodeError covers data files that are
+# not UTF-8 text.
 USER_ERRORS = (ConfigError, CorpusError, EmbeddingError, CheckpointError,
-               MetricsError, TrainingError, ShapeError, FileNotFoundError,
-               IsADirectoryError, PermissionError)
+               MetricsError, TrainingError, ShapeError, OSError, UnicodeError)
 
 
 class CliError(Exception):
@@ -84,26 +85,31 @@ def _clean_argv(argv: list[str]) -> list[str]:
     return out
 
 
-def _prepare_out(args, cfg: Config, argv: list[str]) -> str:
-    out_dir = args.out_dir
-    if out_dir is None:
-        raise CliError(f"{args.command}: --out-dir is required")
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _prepare_out(out_dir: str, cfg: Config, argv: list[str]) -> None:
+    """Create the run directory: clear a stale FAILED marker and record the
+    run's command and resolved config."""
     os.makedirs(out_dir, exist_ok=True)
     marker = os.path.join(out_dir, "FAILED")
     if os.path.exists(marker):
         os.remove(marker)
-    record = {
-        "command": _clean_argv(argv),
-        "config_digest": config_digest(cfg),
-        "seed": cfg.train.seed,
-    }
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "run.json"),
+                {"command": _clean_argv(argv), "config_digest": config_digest(cfg),
+                 "seed": cfg.train.seed})
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"# digest {config_digest(cfg)}\n")
         fh.write(config_to_text(cfg))
-    return out_dir
+
+
+def _out_dir(args) -> str:
+    if args.out_dir is None:
+        raise CliError(f"{args.command}: --out-dir is required")
+    return args.out_dir
 
 
 def _artifact_header(cfg: Config, argv: list[str]) -> list[str]:
@@ -125,22 +131,21 @@ def _vocab(entries, cfg: Config, stopwords=None) -> Vocabulary:
     return build_vocab(stream, cfg.data.vocab_size, stopwords)
 
 
-def _contextual(cfg: Config) -> ContextualProvider:
-    if cfg.data.contextual_file:
-        path = resolve_data_path(cfg.data.contextual_file)
-        return load_contextual_file(path, cfg.model.d_e, seed=cfg.train.seed)
-    return ContextualProvider("deterministic-test", cfg.model.d_e,
-                              seed=cfg.train.seed)
+def _contextual(cfg: Config) -> ContextualProvider | None:
+    """The file-backed provider, or None for the model's deterministic one."""
+    if not cfg.data.contextual_file:
+        return None
+    path = resolve_data_path(cfg.data.contextual_file)
+    return load_contextual_file(path, cfg.model.d_e, seed=cfg.train.seed)
 
 
 def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
     pretrained = None
     if cfg.data.embeddings_file:
         path = resolve_data_path(cfg.data.embeddings_file)
-        table, coverage = load_word_embeddings(path, vocab, seed=cfg.train.seed,
-                                               dim=cfg.model.d_w)
+        pretrained, coverage = load_word_embeddings(path, vocab, seed=cfg.train.seed,
+                                                    dim=cfg.model.d_w)
         print(f"embedding file covers {coverage:.1%} of the vocabulary")
-        pretrained = table.tensor.data
     return DefinitionModel(cfg.model, vocab, seed=cfg.train.seed,
                            pretrained_matrix=pretrained,
                            contextual=_contextual(cfg))
@@ -169,7 +174,7 @@ def cmd_data_validate(args, cfg, argv) -> int:
 
 
 def cmd_data_split(args, cfg, argv) -> int:
-    out_dir = _prepare_out(args, cfg, argv)
+    out_dir = _out_dir(args)
     entries, _ = _load_entries(cfg)
     splits = _splits(entries, cfg, None)
     path = os.path.join(out_dir, "split_manifest.json")
@@ -198,14 +203,10 @@ def cmd_data_stats(args, cfg, argv) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "stats.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
-        with open(os.path.join(args.out_dir, "stats.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(table, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out_dir, "stats.json"), table)
     return 0
 
 
@@ -220,7 +221,6 @@ def cmd_data_vocab(args, cfg, argv) -> int:
     print(f"vocabulary size {len(vocab)} (4 specials)  "
           f"fingerprint {vocab.fingerprint()[:12]}")
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "vocab.txt")
         vocab.save(path)
         print(f"written: {path}")
@@ -228,7 +228,7 @@ def cmd_data_vocab(args, cfg, argv) -> int:
 
 
 def cmd_pretrain(args, cfg, argv) -> int:
-    out_dir = _prepare_out(args, cfg, argv)
+    out_dir = _out_dir(args)
     entries, _ = _load_entries(cfg)
     vocab = _vocab(entries, cfg)
     lm_path = resolve_data_path(cfg.data.lm_corpus, "lm_corpus.txt")
@@ -245,7 +245,7 @@ def cmd_pretrain(args, cfg, argv) -> int:
 
 
 def cmd_train(args, cfg, argv) -> int:
-    out_dir = _prepare_out(args, cfg, argv)
+    out_dir = _out_dir(args)
     entries, _ = _load_entries(cfg)
     vocab = _vocab(entries, cfg)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
@@ -260,7 +260,7 @@ def cmd_train(args, cfg, argv) -> int:
                    checkpoint_path=os.path.join(out_dir, "model.npz"),
                    log_path=os.path.join(out_dir, "train_log.jsonl"),
                    extra_meta={"command": _clean_argv(argv)})
-    summary = {
+    _write_json(os.path.join(out_dir, "summary.json"), {
         "config_digest": config_digest(cfg),
         "command": _clean_argv(argv),
         "vocab_fingerprint": vocab.fingerprint(),
@@ -270,10 +270,7 @@ def cmd_train(args, cfg, argv) -> int:
         "epochs_run": result.epochs_run,
         "best_epoch": result.best_epoch,
         "best_valid_ppl": result.best_ppl,
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"trained {result.epochs_run} epochs; best valid perplexity "
           f"{result.best_ppl:.4f} at epoch {result.best_epoch}")
     print(f"checkpoint: {os.path.join(out_dir, 'model.npz')}")
@@ -289,8 +286,7 @@ def cmd_eval(args, cfg, argv) -> int:
             f"{args.checkpoint}: checkpoint vocabulary does not match this corpus "
             f"(fingerprints {meta.get('vocab_fingerprint', '?')[:12]} vs "
             f"{vocab.fingerprint()[:12]})")
-    contextual = _contextual(cfg) if cfg.data.contextual_file else None
-    model, ckpt_cfg, _ = load_checkpoint(args.checkpoint, contextual=contextual)
+    model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
     if args.manifest:
         splits = apply_split_manifest(entries, args.manifest)
         train_set, test_set = splits["train"], splits["test"]
@@ -301,7 +297,6 @@ def cmd_eval(args, cfg, argv) -> int:
     text = "\n".join(_artifact_header(cfg, argv)) + "\n" + format_report(report)
     print(text, end="")
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "report.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
@@ -315,8 +310,9 @@ def cmd_eval(args, cfg, argv) -> int:
 
 
 def cmd_generate(args, cfg, argv) -> int:
-    contextual = _contextual(cfg) if cfg.data.contextual_file else None
-    model, _, _ = load_checkpoint(args.checkpoint, contextual=contextual)
+    if args.temperature is not None and not args.temperature > 0:
+        raise CliError(f"--temperature must be positive, got {args.temperature}")
+    model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
     for i, context in enumerate(args.context):
         entry = make_query_entry(args.word, context, entry_id=f"query-{i}")
         tokens, meta = model.generate(entry, task=args.task,
@@ -335,7 +331,7 @@ ABLATION_FEATURES = (("base", {"char_on": False, "contextual_on": False}),
 
 
 def cmd_ablate(args, cfg, argv) -> int:
-    out_dir = _prepare_out(args, cfg, argv)
+    out_dir = _out_dir(args)
     entries, _ = _load_entries(cfg)
     vocab = _vocab(entries, cfg)
     rows = []
@@ -472,6 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
+        if args.out_dir is not None:
+            _prepare_out(args.out_dir, cfg, argv)
         handler = COMMANDS[(args.command, getattr(args, "data_command", None))]
         return handler(args, cfg, argv)
     except (CliError, *USER_ERRORS) as exc:

@@ -101,7 +101,10 @@ def set_key(cfg: Config, key: str, raw: str) -> Config:
     names = {f.name for f in fields(section)}
     if field_name not in names:
         raise ConfigError(f"unknown config key {key!r}")
-    value = _coerce(raw, getattr(section, field_name))
+    try:
+        value = _coerce(raw, getattr(section, field_name))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     return replace(cfg, **{section_name: replace(section, **{field_name: value})})
 
 
@@ -117,7 +120,7 @@ def load_config_file(path) -> Config:
             key, raw = (part.strip() for part in text.split("=", 1))
             try:
                 cfg = set_key(cfg, key, raw)
-            except (ConfigError, ValueError) as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{path}:{line_no}: {exc}") from None
     return cfg
 
@@ -132,30 +135,37 @@ def apply_overrides(cfg: Config, overrides) -> Config:
 
 
 def validate(cfg: Config) -> None:
+    """Reject out-of-range values; comparisons are written so NaN fails."""
     m = cfg.model
     for name in ("d_w", "d_h", "d_s", "d_attn", "d_e", "n_decoder_layers",
                  "max_context_len", "max_gen_len"):
-        if getattr(m, name) <= 0:
+        if not getattr(m, name) > 0:
             raise ConfigError(f"model.{name} must be positive")
     if m.kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {m.kind!r}")
     if m.s0_variant not in ("zeros", "word", "context", "both"):
         raise ConfigError(f"model.s0_variant {m.s0_variant!r} unknown")
-    if m.temperature <= 0:
+    if not m.temperature > 0:
         raise ConfigError("model.temperature must be positive")
     t = cfg.train
-    if t.batch_size <= 0 or t.max_epochs < 0 or t.patience < 0:
+    if not (t.batch_size > 0 and t.max_epochs >= 0 and t.patience >= 0):
         raise ConfigError("train.batch_size/max_epochs/patience out of range")
+    if not t.seed >= 0:
+        raise ConfigError("train.seed must be non-negative")
     if not (0 <= t.beta1 < 1 and 0 <= t.beta2 < 1):
         raise ConfigError("train.beta1/beta2 must lie in [0, 1)")
     d = cfg.data
-    if d.vocab_size < 4:
+    if not d.vocab_size >= 4:
         raise ConfigError("data.vocab_size must be at least 4")
+    for name in ("corpus", "lm_corpus", "stopwords", "embeddings_file", "contextual_file"):
+        if "\x00" in getattr(d, name):
+            raise ConfigError(f"data.{name} contains a NUL byte")
     if len(d.split_ratios) != 3:
         raise ConfigError(
             f"data.split_ratios {d.split_ratios} must have 3 parts (train, valid, test)")
-    if abs(sum(d.split_ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"data.split_ratios {d.split_ratios} must sum to 1")
+    if not (all(r >= 0 for r in d.split_ratios) and abs(sum(d.split_ratios) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"data.split_ratios {d.split_ratios} must be non-negative and sum to 1")
 
 
 def config_to_dict(cfg: Config) -> dict:

@@ -139,34 +139,14 @@ def load_corpus(path) -> tuple[list[DictionaryEntry], ValidationReport]:
     return entries, report
 
 
-def serialize_entries(entries, path) -> None:
-    """Inverse of load_corpus for valid entries (tokens joined by spaces)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            record = {
-                "id": e.entry_id,
-                "word": e.word,
-                "pos": e.pos,
-                "sense_id": e.sense_id,
-                "definition": " ".join(e.definition),
-                "contexts": [" ".join(c) for c in e.contexts],
-            }
-            if e.usage:
-                record["usage"] = " ".join(e.usage)
-            if e.domain is not None:
-                record["domain"] = e.domain
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 class Vocabulary:
     """Bijective token/id mapping with specials pinned at ids 0 to 3."""
 
-    def __init__(self, tokens: list[str], counts: dict[str, int] | None = None):
+    def __init__(self, tokens: list[str]):
         self.id_to_token = list(SPECIALS) + [t for t in tokens if t not in SPECIALS]
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise CorpusError("vocabulary contains duplicate tokens")
-        self.counts = dict(counts or {})
         self.pad_id, self.unk_id, self.bos_id, self.eos_id = 0, 1, 2, 3
 
     def __len__(self) -> int:
@@ -219,7 +199,7 @@ def build_vocab(token_stream, k: int, stopwords: set[str] | None = None) -> Voca
         raise CorpusError("no tokens survive vocabulary filtering")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [t for t, _ in ranked[: k - 4]]
-    return Vocabulary(kept, counts={t: counts[t] for t in kept})
+    return Vocabulary(kept)
 
 
 def sense_groups(entries) -> "OrderedDict[tuple[str, str], list[DictionaryEntry]]":

@@ -20,16 +20,14 @@ class DecoderEmbedding:
     """Previous-token embeddings: a frozen pretrained table whose four special
     rows (pad/unk/bos/eos) are replaced by a small trainable table."""
 
-    def __init__(self, frozen_matrix: np.ndarray, rng: np.random.Generator,
-                 prefix: str = "emb"):
+    def __init__(self, frozen_matrix: np.ndarray, rng: np.random.Generator):
         self.frozen = Tensor(frozen_matrix)  # no grad, never updated
         self.dim = frozen_matrix.shape[1]
-        self.prefix = prefix
         self.specials = Tensor(rng.uniform(-0.1, 0.1, size=(4, self.dim)),
                                requires_grad=True)
 
     def params(self) -> dict[str, Tensor]:
-        return {f"{self.prefix}.specials": self.specials}
+        return {"emb.specials": self.specials}
 
     def embed(self, ids) -> Tensor:
         ids = np.asarray(ids, dtype=np.intp)
@@ -51,18 +49,17 @@ class InitStateProjector:
     """
 
     def __init__(self, rng: np.random.Generator, d_w: int, d_ctx: int, d_s: int,
-                 n_layers: int, variant: str, prefix: str = "init"):
+                 n_layers: int, variant: str):
         if variant not in S0_VARIANTS:
             raise ShapeError(f"unknown s0 variant {variant!r}")
         self.d_w, self.d_ctx, self.d_s = d_w, d_ctx, d_s
         self.n_layers = n_layers
         self.variant = variant
-        self.prefix = prefix
         self._params: dict[str, Tensor] = {}
         if variant != "zeros":
-            self._params[f"{prefix}.W_s"] = Tensor(
+            self._params["init.W_s"] = Tensor(
                 glorot(rng, (d_w + d_ctx, d_s)), requires_grad=True)
-            self._params[f"{prefix}.b_s"] = Tensor(np.zeros(d_s), requires_grad=True)
+            self._params["init.b_s"] = Tensor(np.zeros(d_s), requires_grad=True)
 
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
@@ -81,8 +78,7 @@ class InitStateProjector:
         elif self.variant == "context":
             v_star = Tensor(np.zeros((batch, self.d_w)))
         joint = concat([v_star, v_c], axis=1)
-        s0 = add(matmul(joint, self._params[f"{self.prefix}.W_s"]),
-                 self._params[f"{self.prefix}.b_s"])
+        s0 = add(matmul(joint, self._params["init.W_s"]), self._params["init.b_s"])
         return [s0] + upper
 
 
@@ -185,7 +181,7 @@ def sample_sequence(step_fn, init_state, bos_id: int, eos_id: int, max_len: int,
     Stops when the end marker is drawn or max_len tokens are emitted; the end
     marker itself is not returned.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("sample_sequence: temperature must be positive")
     if max_len < 1:
         raise ValueError("sample_sequence: max_len must be at least 1")

@@ -20,6 +20,9 @@ CONV_COUNTS = (10, 30, 40, 40, 40)
 CHAR_FEATURE_DIM = sum(CONV_COUNTS)  # 160
 HIGHWAY_LAYERS = 2
 
+# Fixed character inventory: boundary=0, unknown=1, then the alphabet.
+CHARS = ["\x00", "\x01"] + list("abcdefghijklmnopqrstuvwxyz")
+CHAR_IDS = {c: i for i, c in enumerate(CHARS)}
 BOUNDARY_CHAR_ID = 0
 UNK_CHAR_ID = 1
 
@@ -34,31 +37,12 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
-class EmbeddingTable:
-    """(V, d) lookup table; frozen tables are excluded from the param dict."""
-
-    def __init__(self, matrix: np.ndarray, trainable: bool):
-        self.tensor = Tensor(matrix, requires_grad=trainable)
-        self.trainable = trainable
-
-    @property
-    def shape(self):
-        return self.tensor.shape
-
-    def lookup(self, ids) -> Tensor:
-        return embedding_lookup(self.tensor, ids)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.table": self.tensor} if self.trainable else {}
-
-
-def load_word_embeddings(path, vocab, seed: int, trainable: bool = False,
-                         dim: int | None = None):
-    """Read "token v1 .. vd" lines into a table aligned with ``vocab``.
+def load_word_embeddings(path, vocab, seed: int, dim: int | None = None):
+    """Read "token v1 .. vd" lines into a (V, d) matrix aligned with ``vocab``.
 
     Tokens absent from the file (and the three non-pad specials) get rows
     drawn uniform(-0.1, 0.1) from ``seed``; the pad row is zero. Returns
-    (table, coverage) where coverage is the found fraction of non-special
+    (matrix, coverage) where coverage is the found fraction of non-special
     vocabulary tokens. A leading "count dim" header line is tolerated.
     """
     vectors: dict[str, np.ndarray] = {}
@@ -100,24 +84,7 @@ def load_word_embeddings(path, vocab, seed: int, trainable: bool = False,
             matrix[i] = rng.uniform(-0.1, 0.1, size=file_dim)
     n_real = len(vocab) - 4
     coverage = found / n_real if n_real else 1.0
-    return EmbeddingTable(matrix, trainable=trainable), coverage
-
-
-class CharVocabulary:
-    """Fixed character inventory: boundary=0, unknown=1, then the alphabet."""
-
-    def __init__(self, alphabet: str = "abcdefghijklmnopqrstuvwxyz"):
-        self.chars = ["\x00", "\x01"] + list(alphabet)
-        self.char_to_id = {c: i for i, c in enumerate(self.chars)}
-
-    def __len__(self):
-        return len(self.chars)
-
-    def encode(self, word: str, min_len: int) -> list[int]:
-        ids = [self.char_to_id.get(c, UNK_CHAR_ID) for c in word]
-        while len(ids) < min_len:
-            ids.append(BOUNDARY_CHAR_ID)
-        return ids
+    return matrix, coverage
 
 
 class CharEncoder:
@@ -126,11 +93,9 @@ class CharEncoder:
     Output is a (1, 160) row, deterministic per word given the parameters.
     """
 
-    def __init__(self, rng: np.random.Generator, char_vocab: CharVocabulary | None = None):
-        self.char_vocab = char_vocab or CharVocabulary()
-        n_chars = len(self.char_vocab)
+    def __init__(self, rng: np.random.Generator):
         p: dict[str, Tensor] = {}
-        p["char.table"] = Tensor(rng.uniform(-0.1, 0.1, size=(n_chars, CHAR_EMB_DIM)),
+        p["char.table"] = Tensor(rng.uniform(-0.1, 0.1, size=(len(CHARS), CHAR_EMB_DIM)),
                                  requires_grad=True)
         for w, n in zip(CONV_WIDTHS, CONV_COUNTS):
             p[f"char.conv{w}.kernel"] = Tensor(glorot(rng, (w, CHAR_EMB_DIM, n)),
@@ -151,7 +116,8 @@ class CharEncoder:
     def encode(self, word: str) -> Tensor:
         if not word:
             raise EmbeddingError("char encoder: empty word")
-        ids = self.char_vocab.encode(word, min_len=max(CONV_WIDTHS))
+        ids = [CHAR_IDS.get(c, UNK_CHAR_ID) for c in word]
+        ids += [BOUNDARY_CHAR_ID] * (max(CONV_WIDTHS) - len(ids))
         p = self._params
         emb = embedding_lookup(p["char.table"], ids)  # (L, 20)
         pieces = []
@@ -171,8 +137,10 @@ class ContextualProvider:
     """Per-occurrence vector for the target word, dimension d_e, constant.
 
     Two kinds: "deterministic-test" derives a unit vector from a stable hash
-    of (target token, previous token, next token); "file-backed" looks up a
-    precomputed vector by entry id and fails on absent keys.
+    of (target token, previous token, next token) in the entry's first
+    context, or of the word alone when that context has no resolved
+    occurrence; "file-backed" looks up a precomputed vector by entry id and
+    fails on absent keys.
     """
 
     def __init__(self, kind: str, dim: int, seed: int = 0, table: dict | None = None):
@@ -185,42 +153,27 @@ class ContextualProvider:
         self.seed = seed
         self.table = table or {}
 
-    def _hash_vector(self, target: str, prev: str, nxt: str) -> np.ndarray:
+    def embed_for_entry(self, entry) -> np.ndarray:
+        if self.kind == "file-backed":
+            if entry.entry_id not in self.table:
+                raise EmbeddingError(
+                    f"no precomputed contextual vector for entry {entry.entry_id!r}")
+            return self.table[entry.entry_id]
+        context, idx = entry.contexts[0], entry.context_target_indices[0]
+        if idx is None:
+            target, prev, nxt = entry.word, "", ""
+        elif not 0 <= idx < len(context):
+            raise EmbeddingError(
+                f"target index {idx} out of range for context of length {len(context)}")
+        else:
+            target = context[idx]
+            prev = context[idx - 1] if idx > 0 else ""
+            nxt = context[idx + 1] if idx + 1 < len(context) else ""
         key = f"{self.seed}|{target}|{prev}|{nxt}".encode("utf-8")
         digest = hashlib.sha256(key).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         v = rng.normal(size=self.dim)
         return v / np.linalg.norm(v)
-
-    def embed(self, context: list[str], target_index: int) -> np.ndarray:
-        if self.kind != "deterministic-test":
-            raise EmbeddingError("positional embedding requires the deterministic kind")
-        if not (0 <= target_index < len(context)):
-            raise EmbeddingError(
-                f"target index {target_index} out of range for context of "
-                f"length {len(context)}")
-        prev = context[target_index - 1] if target_index > 0 else ""
-        nxt = context[target_index + 1] if target_index + 1 < len(context) else ""
-        return self._hash_vector(context[target_index], prev, nxt)
-
-    def embed_word_alone(self, word: str) -> np.ndarray:
-        """Fallback when the context has no resolved target occurrence."""
-        return self._hash_vector(word, "", "")
-
-    def embed_entry_id(self, entry_id: str) -> np.ndarray:
-        if self.kind != "file-backed":
-            raise EmbeddingError("entry-id lookup requires the file-backed kind")
-        if entry_id not in self.table:
-            raise EmbeddingError(f"no precomputed contextual vector for entry {entry_id!r}")
-        return self.table[entry_id]
-
-    def embed_for_entry(self, entry, context_index: int = 0) -> np.ndarray:
-        if self.kind == "file-backed":
-            return self.embed_entry_id(entry.entry_id)
-        idx = entry.context_target_indices[context_index]
-        if idx is None:
-            return self.embed_word_alone(entry.word)
-        return self.embed(entry.contexts[context_index], idx)
 
 
 def load_contextual_file(path, dim: int, seed: int = 0) -> ContextualProvider:

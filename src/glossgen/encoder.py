@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, concat, matmul, max_over_axis, mul, one_minus, scale, sigmoid, slice_axis, softmax, tanh
-from .embeddings import EmbeddingTable, glorot
+from .autodiff import ShapeError, Tensor, add, concat, embedding_lookup, matmul, max_over_axis, mul, one_minus, scale, sigmoid, slice_axis, softmax, tanh
+from .embeddings import glorot
 
 
 class GruCell:
@@ -75,19 +75,17 @@ class ContextEncoder:
     Contexts longer than ``max_len`` tokens are truncated.
     """
 
-    def __init__(self, rng: np.random.Generator, table: EmbeddingTable, d_h: int,
+    def __init__(self, rng: np.random.Generator, matrix: np.ndarray, d_h: int,
                  max_len: int = 64):
-        if not table.trainable:
-            raise ShapeError("context encoder expects its own trainable table")
-        self.table = table
-        self.d_w = table.shape[1]
+        self.table = Tensor(matrix, requires_grad=True)  # (V, d_w)
+        self.d_w = matrix.shape[1]
         self.d_h = d_h
         self.max_len = max_len
         self.fwd = GruCell(rng, self.d_w, d_h, "enc.fwd")
         self.bwd = GruCell(rng, self.d_w, d_h, "enc.bwd")
 
     def params(self) -> dict[str, Tensor]:
-        out = self.table.params("enc")
+        out = {"enc.table": self.table}
         out.update(self.fwd.params())
         out.update(self.bwd.params())
         return out
@@ -96,7 +94,7 @@ class ContextEncoder:
         ids = list(token_ids)[: self.max_len]
         if not ids:
             raise ShapeError("context encoder: empty context")
-        emb = self.table.lookup(ids)  # (m, d_w)
+        emb = embedding_lookup(self.table, ids)  # (m, d_w)
         m = len(ids)
         xs = [slice_axis(emb, 0, t, t + 1) for t in range(m)]
         h = self.fwd.zero_state(1)

@@ -18,7 +18,7 @@ from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits
 from .config import MULTI_KINDS, ModelConfig
 from .data import Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, GatedInputBuilder, InitStateProjector, sample_sequence
-from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, EmbeddingTable, glorot
+from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot
 from .encoder import ContextEncoder, SenseAttention
 
 
@@ -109,8 +109,8 @@ class DefinitionModel:
             enc_matrix = kids[1].uniform(-0.1, 0.1, size=(v, cfg.d_w))
             enc_matrix[vocab.pad_id] = 0.0
 
-        self.encoder = ContextEncoder(kids[2], EmbeddingTable(enc_matrix, trainable=True),
-                                      cfg.d_h, max_len=cfg.max_context_len)
+        self.encoder = ContextEncoder(kids[2], enc_matrix, cfg.d_h,
+                                      max_len=cfg.max_context_len)
         self.attention = SenseAttention(kids[3], cfg.d_w, 2 * cfg.d_h, cfg.d_attn)
         self.char_encoder = CharEncoder(kids[4]) if cfg.char_on else None
         self.embedding = DecoderEmbedding(frozen, kids[5])

@@ -36,10 +36,8 @@ class TrainResult:
     checkpoint_path: str | None = None
 
 
-def _batches(items: list, batch_size: int, rng: np.random.Generator | None):
-    order = np.arange(len(items))
-    if rng is not None:
-        rng.shuffle(order)
+def _batches(items: list, batch_size: int, rng: np.random.Generator):
+    order = rng.permutation(len(items))
     for i in range(0, len(order), batch_size):
         yield [items[j] for j in order[i:i + batch_size]]
 
@@ -142,13 +140,13 @@ def train(model, cfg: Config, train_entries, valid_entries,
                        checkpoint_path=checkpoint_path)
 
 
-def load_lm_sentences(path, vocab, min_tokens: int = 1) -> list[list[int]]:
+def load_lm_sentences(path, vocab) -> list[list[int]]:
     """Read one sentence per line, tokenize, encode; skip blank lines."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             toks = tokenize(line)
-            if len(toks) >= min_tokens:
+            if toks:
                 out.append(vocab.encode(toks))
     if not out:
         raise TrainingError(f"{path}: no usable sentences")

@@ -1,10 +1,13 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glossgen.cli import main, resolve_data_path
+from glossgen.config import default_config
 from glossgen.data import load_corpus, split_by_sense
 
 MICRO_CFG = """
@@ -90,6 +93,16 @@ class TestDataCommands:
         assert main(["data", "vocab", "--out-dir", str(out)]) == 0
         lines = (out / "vocab.txt").read_text().splitlines()
         assert lines[:4] == ["<pad>", "<unk>", "<bos>", "<eos>"]
+
+    def test_success_after_failure_clears_marker(self, tmp_path, capsys):
+        out = tmp_path / "st"
+        out.mkdir()
+        assert main(["data", "stats", "--out-dir", str(out),
+                     "--manifest", str(tmp_path / "missing.json")]) == 1
+        assert (out / "FAILED").exists()
+        assert main(["data", "stats", "--out-dir", str(out)]) == 0
+        assert not (out / "FAILED").exists()
+        assert (out / "run.json").exists() and (out / "config.txt").exists()
 
 
 class TestTrain:
@@ -209,6 +222,15 @@ class TestEvalAndGenerate:
             assert rec["word"] == "check"
             assert set(rec) >= {"context", "output", "task"}
 
+    @pytest.mark.parametrize("temperature", ["-1", "nan"])
+    def test_generate_rejects_bad_temperature(self, trained, temperature, capsys):
+        code = main(["generate", "--config", trained["cfg"],
+                     "--checkpoint", trained["checkpoint"],
+                     "--word", "check", "--context", "a check mark",
+                     "--temperature", temperature])
+        assert code == 1
+        assert "--temperature" in capsys.readouterr().err
+
     def test_generate_usage_needs_multi_task_model(self, trained, capsys):
         code = main(["generate", "--config", trained["cfg"],
                      "--checkpoint", trained["checkpoint"],
@@ -247,6 +269,24 @@ class TestErrorsAndPaths:
                      "--override", "data.split_ratios=0.5,0.5"]) == 1
         assert "3 parts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, key", [
+        (["--override", "model.d_w=abc"], "model.d_w"),
+        (["--override", "data.split_ratios=1.5,-0.25,-0.25"], "data.split_ratios"),
+        (["--override", "data.split_ratios=nan,nan,nan"], "data.split_ratios"),
+        (["--seed", "-1"], "train.seed"),
+        (["--override", "model.temperature=nan"], "model.temperature"),
+        (["--override", "data.corpus=a\x00b"], "data.corpus"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, args, key):
+        assert main(["data", "split", "--out-dir", str(tmp_path / "s")] + args) == 1
+        assert key in capsys.readouterr().err
+
+    def test_non_utf8_corpus_is_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "\xff\xfe"}\n')
+        assert main(["data", "validate", "--override", f"data.corpus={bad}"]) == 1
+        assert "utf-8" in capsys.readouterr().err
+
     def test_bad_config_value_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model.kind = frobnicate\n")
@@ -267,3 +307,24 @@ class TestErrorsAndPaths:
     def test_empty_path_uses_bundled_asset(self):
         path = resolve_data_path("", "mini_corpus.jsonl")
         assert path.endswith("mini_corpus.jsonl") and os.path.exists(path)
+
+
+CONFIG_KEYS = [f"{section}.{f.name}" for section in ("model", "train", "data")
+               for f in fields(getattr(default_config(), section))]
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=24),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70).map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
+    st.sampled_from(["true", "off", "hier-du", "word", "0.5,0.5,0"]),
+)
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@settings(max_examples=30, deadline=None)
+@given(value=CONFIG_VALUES)
+def test_any_config_value_exits_zero_or_one(tmp_path_factory, key, value):
+    """Whatever a config key is set to, the CLI runs or reports a user error."""
+    out = tmp_path_factory.getbasetemp() / "any-config-value"
+    code = main(["data", "split", "--out-dir", str(out), "--override", f"{key}={value}"])
+    assert code in (0, 1)

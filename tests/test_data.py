@@ -111,20 +111,6 @@ class TestLoadCorpus:
         with pytest.raises(D.CorpusError):
             D.load_corpus(path)
 
-    def test_round_trip(self, tmp_path):
-        path = write_corpus(
-            tmp_path / "c.jsonl",
-            [make_record(), make_record(id="e2", word="run", sense_id="run.v.01",
-                                        contexts=["she runs fast", "we run daily"],
-                                        definition="move quickly on foot",
-                                        domain="sport")])
-        entries, _ = D.load_corpus(path)
-        out = tmp_path / "rt.jsonl"
-        D.serialize_entries(entries, out)
-        reloaded, report = D.load_corpus(out)
-        assert report.n_malformed == 0
-        assert reloaded == entries
-
 
 class TestVocabulary:
     def test_specials_and_frequency_order(self):

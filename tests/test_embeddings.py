@@ -4,6 +4,8 @@ import pytest
 from glossgen import embeddings as E
 from glossgen.autodiff import AdamState, Tape, adam_step, backward, grad_check, mul, sum_all
 from glossgen.data import DictionaryEntry, Vocabulary
+from glossgen.decoder import DecoderEmbedding
+from glossgen.encoder import ContextEncoder
 
 
 def small_vocab():
@@ -23,27 +25,27 @@ class TestWordEmbeddings:
     def test_direct_load_full_coverage(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0]), ("dog", [0, 1]),
                                                   ("bird", [1, 1])])
-        table, coverage = E.load_word_embeddings(path, small_vocab(), seed=0)
+        matrix, coverage = E.load_word_embeddings(path, small_vocab(), seed=0)
         assert coverage == 1.0
-        assert np.array_equal(table.tensor.data[4], [1, 0])
-        assert np.array_equal(table.tensor.data[5], [0, 1])
+        assert np.array_equal(matrix[4], [1, 0])
+        assert np.array_equal(matrix[5], [0, 1])
 
     def test_missing_token_sampled(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0])])
-        table, coverage = E.load_word_embeddings(path, small_vocab(), seed=0)
+        matrix, coverage = E.load_word_embeddings(path, small_vocab(), seed=0)
         assert coverage == pytest.approx(1 / 3)
-        row = table.tensor.data[5]
+        row = matrix[5]
         assert np.all(np.abs(row) <= 0.1) and np.any(row != 0)
 
     def test_pad_row_zero(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0])])
-        table, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
-        assert np.all(table.tensor.data[0] == 0)
+        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
+        assert np.all(matrix[0] == 0)
 
     def test_header_tolerated(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0])], header="1 2")
-        table, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
-        assert table.shape == (7, 2)
+        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
+        assert matrix.shape == (7, 2)
 
     def test_wrong_arity_names_line(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0]), ("dog", [1, 2, 3])])
@@ -58,26 +60,30 @@ class TestWordEmbeddings:
 
     def test_frozen_table_untouched_by_adam(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1.0, 0.5])])
-        table, _ = E.load_word_embeddings(path, small_vocab(), seed=0, trainable=False)
-        before = table.tensor.data.copy()
-        assert table.params("enc") == {}
-        # a frozen table contributes no parameters, so updates cannot move it
-        state = AdamState()
+        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
+        emb = DecoderEmbedding(matrix, np.random.default_rng(0))
+        before = emb.frozen.data.copy()
+        # the frozen table is not a parameter, so updates cannot move it
+        assert all(t is not emb.frozen for t in emb.params().values())
+        state = AdamState(lr=0.01)
         for _ in range(3):
-            adam_step(table.params("enc"), state)
-        assert np.array_equal(table.tensor.data, before)
+            with Tape() as tape:
+                rows = emb.embed([2, 4, 5])
+                backward(tape, sum_all(mul(rows, rows)))
+            adam_step(emb.params(), state)
+        assert np.array_equal(emb.frozen.data, before)
 
     def test_trainable_table_moves(self):
-        matrix = np.random.default_rng(1).uniform(-0.1, 0.1, size=(len(small_vocab()), 4))
-        table = E.EmbeddingTable(matrix, trainable=True)
-        params = table.params("enc")
-        assert set(params) == {"enc.table"}
+        rng = np.random.default_rng(1)
+        enc = ContextEncoder(rng, rng.uniform(-0.1, 0.1, size=(len(small_vocab()), 4)), d_h=3)
+        params = enc.params()
+        assert params["enc.table"] is enc.table
         with Tape() as tape:
-            rows = table.lookup([4, 5])
-            backward(tape, sum_all(mul(rows, rows)))
-        before = table.tensor.data.copy()
+            out = enc.encode([4, 5])
+            backward(tape, sum_all(mul(out.v_c, out.v_c)))
+        before = enc.table.data.copy()
         adam_step(params, AdamState(lr=0.01))
-        assert not np.array_equal(table.tensor.data, before)
+        assert not np.array_equal(enc.table.data, before)
 
 
 class TestCharEncoder:
@@ -118,7 +124,7 @@ class TestCharEncoder:
 
         pieces = []
         p = enc._params
-        ids = enc.char_vocab.encode("check", min_len=6)
+        ids = [E.CHAR_IDS[c] for c in "check"] + [E.BOUNDARY_CHAR_ID]
         emb = p["char.table"].data[ids]
         for w, n in zip(E.CONV_WIDTHS, E.CONV_COUNTS):
             k = p[f"char.conv{w}.kernel"].data
@@ -162,52 +168,52 @@ class TestCharEncoder:
 
 
 class TestContextualProvider:
-    def make_entry(self, contexts, indices, word="check"):
+    def make_entry(self, contexts, indices, word="check", entry_id="e1"):
         return DictionaryEntry(
-            entry_id="e1", word=word, pos="n", sense_id="s1",
+            entry_id=entry_id, word=word, pos="n", sense_id="s1",
             definition=["a", "thing"], contexts=contexts,
             context_target_indices=indices)
 
     def test_deterministic_same_input(self):
         p = E.ContextualProvider("deterministic-test", dim=16, seed=1)
-        ctx = ["he", "paid", "the", "check"]
-        assert np.array_equal(p.embed(ctx, 3), p.embed(ctx, 3))
+        entry = self.make_entry([["he", "paid", "the", "check"]], [3])
+        assert np.array_equal(p.embed_for_entry(entry), p.embed_for_entry(entry))
 
     def test_different_neighbors_differ(self):
         p = E.ContextualProvider("deterministic-test", dim=16, seed=1)
-        a = p.embed(["the", "check", "bounced"], 1)
-        b = p.embed(["a", "check", "mark"], 1)
+        a = p.embed_for_entry(self.make_entry([["the", "check", "bounced"]], [1]))
+        b = p.embed_for_entry(self.make_entry([["a", "check", "mark"]], [1]))
         assert not np.allclose(a, b)
 
     def test_unit_norm(self):
         p = E.ContextualProvider("deterministic-test", dim=32, seed=5)
-        for ctx, i in [(["lone"], 0), (["a", "b", "c"], 1), (["x", "y"], 1)]:
-            v = p.embed(ctx, i)
+        for ctx, i in [(["lone"], 0), (["a", "b", "c"], 1), (["x", "y"], 1), (["z"], None)]:
+            v = p.embed_for_entry(self.make_entry([ctx], [i]))
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
     def test_index_out_of_range(self):
         p = E.ContextualProvider("deterministic-test", dim=8)
-        with pytest.raises(E.EmbeddingError):
-            p.embed(["one", "two"], 2)
+        with pytest.raises(E.EmbeddingError, match="out of range"):
+            p.embed_for_entry(self.make_entry([["one", "two"]], [2]))
 
     def test_absent_occurrence_falls_back_to_word(self):
         p = E.ContextualProvider("deterministic-test", dim=8, seed=2)
-        entry = self.make_entry([["unrelated", "words"]], [None])
-        v = p.embed_for_entry(entry)
-        assert np.array_equal(v, p.embed_word_alone("check"))
+        v = p.embed_for_entry(self.make_entry([["unrelated", "words"]], [None]))
+        # the word alone hashes like a one-token context holding only the word
+        assert np.array_equal(v, p.embed_for_entry(self.make_entry([["check"]], [0])))
 
     def test_file_backed_lookup(self, tmp_path):
         path = tmp_path / "ctx.txt"
         path.write_text("e1 " + " ".join(["0.5"] * 4) + "\n")
         p = E.load_contextual_file(path, dim=4)
-        assert np.array_equal(p.embed_entry_id("e1"), [0.5] * 4)
+        assert np.array_equal(p.embed_for_entry(self.make_entry([["x"]], [None])), [0.5] * 4)
 
     def test_file_backed_missing_key(self, tmp_path):
         path = tmp_path / "ctx.txt"
         path.write_text("e1 1 2 3 4\n")
         p = E.load_contextual_file(path, dim=4)
         with pytest.raises(E.EmbeddingError, match="e9"):
-            p.embed_entry_id("e9")
+            p.embed_for_entry(self.make_entry([["x"]], [None], entry_id="e9"))
 
     def test_file_backed_length_checked(self, tmp_path):
         path = tmp_path / "ctx.txt"

@@ -3,7 +3,6 @@ import pytest
 
 from glossgen import encoder as enc_mod
 from glossgen.autodiff import ShapeError, Tensor, grad_check, mul, sum_all
-from glossgen.embeddings import EmbeddingTable
 from glossgen.encoder import ContextEncoder, GruCell, SenseAttention
 
 
@@ -62,8 +61,7 @@ class TestGruCell:
 
 def make_encoder(seed=0, vocab=11, d_w=6, d_h=5, max_len=64):
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(rng.uniform(-0.1, 0.1, size=(vocab, d_w)), trainable=True)
-    return ContextEncoder(rng, table, d_h, max_len=max_len)
+    return ContextEncoder(rng, rng.uniform(-0.1, 0.1, size=(vocab, d_w)), d_h, max_len=max_len)
 
 
 class TestContextEncoder:
@@ -77,11 +75,11 @@ class TestContextEncoder:
         enc = make_encoder()
         out = enc.encode([4, 5, 6])
         # forward half of row 0 equals a single forward step from zero state
-        x0 = Tensor(enc.table.tensor.data[4:5])
+        x0 = Tensor(enc.table.data[4:5])
         f0 = enc.fwd.step(enc.fwd.zero_state(1), x0)
         assert np.allclose(out.H.data[0, :5], f0.data[0])
         # backward half of the last row equals a single backward step
-        x2 = Tensor(enc.table.tensor.data[6:7])
+        x2 = Tensor(enc.table.data[6:7])
         b2 = enc.bwd.step(enc.bwd.zero_state(1), x2)
         assert np.allclose(out.H.data[2, 5:], b2.data[0])
 
@@ -110,7 +108,7 @@ class TestContextEncoder:
         with Tape() as tape:
             out = enc.encode([4, 5])
             backward(tape, sum_all(mul(out.v_c, out.v_c)))
-        assert np.any(enc.table.tensor.grad != 0)
+        assert np.any(enc.table.grad != 0)
 
 
 class TestSenseAttention:
@@ -173,8 +171,7 @@ class TestSenseAttention:
     def test_end_to_end_gradient(self):
         # encoder -> attention composite, checked at loose model tolerance
         rng = np.random.default_rng(6)
-        table = EmbeddingTable(rng.uniform(-0.1, 0.1, size=(9, 4)), trainable=True)
-        enc = ContextEncoder(rng, table, d_h=3)
+        enc = ContextEncoder(rng, rng.uniform(-0.1, 0.1, size=(9, 4)), d_h=3)
         attn = SenseAttention(rng, d_w=4, d_ctx=6, d_attn=4)
         v_star = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
         params = {**enc.params(), **attn.params()}
