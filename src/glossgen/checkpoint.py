@@ -14,12 +14,15 @@ import os
 
 import numpy as np
 
+from .autodiff import ShapeError
 from .config import Config, config_from_dict, config_to_dict
 from .data import Vocabulary
 from .embeddings import CHARS, ContextualProvider
+from .models import DefinitionModel, assign_arrays
 
 FORMAT_VERSION = 1
 META_KEY = "__meta__"
+WARM_START = "pretrained-decoder"   # header "kind" of a warm-start file
 
 
 class CheckpointError(Exception):
@@ -27,12 +30,14 @@ class CheckpointError(Exception):
 
 
 def _write(path, meta: dict, arrays: dict) -> None:
-    """Write the JSON header and arrays to a temp file next to ``path``, then
-    move it over ``path``; on failure the temp file is removed."""
+    """Write the JSON header, stamped with the format version, and the arrays
+    to a temp file next to ``path``, then move it over ``path``; on failure
+    the temp file is removed."""
+    header = json.dumps({**meta, "format_version": FORMAT_VERSION}, sort_keys=True)
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **{META_KEY: np.array(json.dumps(meta, sort_keys=True))}, **arrays)
+            np.savez(fh, **{META_KEY: np.array(header)}, **arrays)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,24 +45,30 @@ def _write(path, meta: dict, arrays: dict) -> None:
         raise
 
 
-def _read(path, with_arrays: bool = True) -> tuple[dict, dict]:
-    """(header, arrays) of a file written by ``_write``; arrays are only
-    loaded when asked for."""
-    with np.load(path, allow_pickle=False) as data:
-        if META_KEY not in data:
-            raise CheckpointError(f"{path}: not a checkpoint (no header)")
-        meta = json.loads(str(data[META_KEY]))
-        arrays = ({k: data[k] for k in data.files if k != META_KEY}
-                  if with_arrays else {})
+def _read(path, kind: str | None = None) -> tuple[dict, dict]:
+    """(header, arrays) of a file written by ``_write`` with header "kind"
+    ``kind`` (None for a checkpoint). The file comes from outside the program:
+    whatever fails while opening or parsing it is a CheckpointError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data[META_KEY])) if META_KEY in data else None
+            arrays = {k: data[k] for k in data.files if k != META_KEY}
+    except Exception as exc:
+        raise CheckpointError(f"{path}: not a readable .npz file "
+                              f"({type(exc).__name__}: {exc})") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: not a checkpoint (no header)")
     if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {meta.get('format_version')} unsupported")
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: not a {kind or 'checkpoint'} file "
+                              f"(header kind {meta.get('kind')!r})")
     return meta, arrays
 
 
 def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) -> None:
     meta = {
-        "format_version": FORMAT_VERSION,
         "config": config_to_dict(cfg),
         "vocab_tokens": model.vocab.id_to_token,
         "vocab_fingerprint": model.vocab.fingerprint(),
@@ -71,18 +82,12 @@ def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) ->
     _write(path, meta, model.state_arrays())
 
 
-def read_meta(path) -> dict:
-    return _read(path, with_arrays=False)[0]
-
-
 def load_checkpoint(path, contextual: ContextualProvider | None = None):
     """Rebuild the model from a checkpoint. Returns (model, cfg, meta).
 
     A file-backed contextual provider is not stored in the checkpoint and
     must be supplied by the caller when the run used one.
     """
-    from .models import DefinitionModel
-
     meta, arrays = _read(path)
     cfg = config_from_dict(meta["config"])
     tokens = meta["vocab_tokens"]
@@ -90,8 +95,7 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
     if contextual is None and meta["contextual_kind"] == "deterministic-test":
-        contextual = ContextualProvider("deterministic-test", cfg.model.d_e,
-                                        seed=meta["contextual_seed"])
+        contextual = ContextualProvider(cfg.model.d_e, seed=meta["contextual_seed"])
     if contextual is None:
         raise CheckpointError(
             f"{path}: run used a {meta['contextual_kind']} contextual provider; "
@@ -104,8 +108,7 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
 def save_pretrained(path, model, extra_meta: dict | None = None) -> None:
     """Store only the decoder-side parameters for later warm starts."""
     meta = {
-        "format_version": FORMAT_VERSION,
-        "kind": "pretrained-decoder",
+        "kind": WARM_START,
         "vocab_fingerprint": model.vocab.fingerprint(),
         "d_s": model.cfg.d_s,
         "input_dim": model.input_dim,
@@ -116,20 +119,11 @@ def save_pretrained(path, model, extra_meta: dict | None = None) -> None:
 
 def load_pretrained(path, model) -> list[str]:
     """Copy pretrained decoder arrays into a model; returns the copied names."""
-    meta, arrays = _read(path)
-    if meta.get("kind") != "pretrained-decoder":
-        raise CheckpointError(f"{path}: not a pretrained-decoder file")
+    meta, arrays = _read(path, WARM_START)
     if meta["vocab_fingerprint"] != model.vocab.fingerprint():
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
-    targets = model.pretrainable_params()
-    if set(arrays) != set(targets):
-        raise CheckpointError(
-            f"{path}: parameter names do not match the model's decoder branch")
-    for name, value in arrays.items():
-        if value.shape != targets[name].data.shape:
-            raise CheckpointError(
-                f"{path}: array {name!r} has shape {value.shape}, model expects "
-                f"{targets[name].data.shape}")
-    for name, value in arrays.items():
-        targets[name].data[...] = value
+    try:
+        assign_arrays(model.pretrainable_params(), arrays)
+    except ShapeError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return sorted(arrays)

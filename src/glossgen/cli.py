@@ -15,8 +15,7 @@ import sys
 from importlib import resources
 
 from .autodiff import ShapeError
-from .checkpoint import (CheckpointError, load_checkpoint, load_pretrained,
-                         read_meta)
+from .checkpoint import CheckpointError, load_checkpoint, load_pretrained
 from .config import (Config, ConfigError, apply_overrides, config_digest,
                      config_to_text, default_config, load_config_file, set_key,
                      validate)
@@ -136,7 +135,7 @@ def _contextual(cfg: Config) -> ContextualProvider | None:
     if not cfg.data.contextual_file:
         return None
     path = resolve_data_path(cfg.data.contextual_file)
-    return load_contextual_file(path, cfg.model.d_e, seed=cfg.train.seed)
+    return load_contextual_file(path, cfg.model.d_e)
 
 
 def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
@@ -279,14 +278,13 @@ def cmd_train(args, cfg, argv) -> int:
 
 def cmd_eval(args, cfg, argv) -> int:
     entries, _ = _load_entries(cfg)
-    meta = read_meta(args.checkpoint)
+    model, _, meta = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
     vocab = _vocab(entries, cfg)
-    if vocab.fingerprint() != meta.get("vocab_fingerprint"):
+    if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CliError(
             f"{args.checkpoint}: checkpoint vocabulary does not match this corpus "
-            f"(fingerprints {meta.get('vocab_fingerprint', '?')[:12]} vs "
+            f"(fingerprints {meta['vocab_fingerprint'][:12]} vs "
             f"{vocab.fingerprint()[:12]})")
-    model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
     if args.manifest:
         splits = apply_split_manifest(entries, args.manifest)
         train_set, test_set = splits["train"], splits["test"]

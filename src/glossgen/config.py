@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 MODEL_KINDS = ("single", "parallel", "hier-du", "hier-ud")
@@ -55,7 +56,6 @@ class TrainConfig:
 class DataConfig:
     corpus: str = ""           # empty -> bundled mini corpus
     lm_corpus: str = ""        # empty -> bundled sentence file
-    stopwords: str = ""        # empty -> bundled list
     embeddings_file: str = ""  # empty -> seeded random table
     contextual_file: str = ""  # empty -> deterministic provider
     vocab_size: int = 65000
@@ -154,10 +154,13 @@ def validate(cfg: Config) -> None:
         raise ConfigError("train.seed must be non-negative")
     if not (0 <= t.beta1 < 1 and 0 <= t.beta2 < 1):
         raise ConfigError("train.beta1/beta2 must lie in [0, 1)")
+    for name in ("lr", "eps", "clip_norm"):
+        if not 0 < getattr(t, name) < math.inf:
+            raise ConfigError(f"train.{name} must be positive and finite")
     d = cfg.data
     if not d.vocab_size >= 4:
         raise ConfigError("data.vocab_size must be at least 4")
-    for name in ("corpus", "lm_corpus", "stopwords", "embeddings_file", "contextual_file"):
+    for name in ("corpus", "lm_corpus", "embeddings_file", "contextual_file"):
         if "\x00" in getattr(d, name):
             raise ConfigError(f"data.{name} contains a NUL byte")
     if len(d.split_ratios) != 3:
@@ -177,6 +180,7 @@ def config_to_dict(cfg: Config) -> dict:
 def config_from_dict(payload: dict) -> Config:
     data = dict(payload["data"])
     data["split_ratios"] = tuple(data["split_ratios"])
+    data.pop("stopwords", None)  # unread field that older checkpoints still carry
     return Config(model=ModelConfig(**payload["model"]),
                   train=TrainConfig(**payload["train"]),
                   data=DataConfig(**data))

@@ -171,14 +171,6 @@ class Vocabulary:
             for tok in self.id_to_token:
                 fh.write(tok + "\n")
 
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        if tokens[:4] != list(SPECIALS):
-            raise CorpusError(f"{path}: first four tokens must be the specials")
-        return cls(tokens[4:])
-
 
 def load_stopwords(path) -> set[str]:
     with open(path, encoding="utf-8") as fh:
@@ -266,8 +258,18 @@ def write_split_manifest(splits: dict, path) -> None:
 
 
 def apply_split_manifest(entries, path) -> dict:
+    """Entries per split of a JSON manifest mapping split names (at least
+    train, valid and test) to lists of entry ids."""
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise CorpusError(f"manifest {path}: not JSON text: {exc}") from None
+    if not (isinstance(manifest, dict) and {"train", "valid", "test"} <= manifest.keys()
+            and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                    for ids in manifest.values())):
+        raise CorpusError(f"manifest {path}: expected a JSON object mapping train, "
+                          "valid and test to lists of entry ids")
     by_id = {e.entry_id: e for e in entries}
     out = {}
     for name, ids in manifest.items():

@@ -37,41 +37,48 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
+def _read_vectors(path, dim: int | None = None) -> dict[str, np.ndarray]:
+    """Records of a "key v1 .. vd" text file, by key (a later record wins).
+
+    Every record holds the same number of finite values: ``dim`` when given,
+    else as many as the first record. A first line of two whole numbers is a
+    "count dim" header and is skipped, unless records are one value wide.
+    Raises EmbeddingError naming ``path:line`` for a bad record.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or (line_no == 1 and len(parts) == 2 and dim != 1
+                             and all(p.isdecimal() for p in parts)):
+                continue
+            values = parts[1:]
+            dim = len(values) if dim is None else dim
+            if not values or len(values) != dim:
+                raise EmbeddingError(
+                    f"{path}:{line_no}: expected {dim or 'some'} values, got {len(values)}")
+            try:
+                vector = np.array([float(v) for v in values])
+            except ValueError:
+                raise EmbeddingError(f"{path}:{line_no}: values must be numbers") from None
+            if not np.isfinite(vector).all():
+                raise EmbeddingError(f"{path}:{line_no}: values must be finite")
+            vectors[parts[0]] = vector
+    if not vectors:
+        raise EmbeddingError(f"{path}: empty vector file (no records)")
+    return vectors
+
+
 def load_word_embeddings(path, vocab, seed: int, dim: int | None = None):
-    """Read "token v1 .. vd" lines into a (V, d) matrix aligned with ``vocab``.
+    """Read a vector file into a (V, d) matrix aligned with ``vocab``.
 
     Tokens absent from the file (and the three non-pad specials) get rows
     drawn uniform(-0.1, 0.1) from ``seed``; the pad row is zero. Returns
     (matrix, coverage) where coverage is the found fraction of non-special
-    vocabulary tokens. A leading "count dim" header line is tolerated.
+    vocabulary tokens.
     """
-    vectors: dict[str, np.ndarray] = {}
-    file_dim = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if line_no == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header
-                except ValueError:
-                    pass
-            token, values = parts[0], parts[1:]
-            if file_dim is None:
-                file_dim = len(values)
-                if file_dim == 0:
-                    raise EmbeddingError(f"{path}:{line_no}: no vector values")
-            elif len(values) != file_dim:
-                raise EmbeddingError(
-                    f"{path}:{line_no}: expected {file_dim} values, got {len(values)}")
-            vectors[token] = np.array([float(v) for v in values])
-    if file_dim is None:
-        raise EmbeddingError(f"{path}: empty embedding file")
-    if dim is not None and dim != file_dim:
-        raise EmbeddingError(f"{path}: file dimension {file_dim} != configured {dim}")
-
+    vectors = _read_vectors(path, dim)
+    file_dim = len(next(iter(vectors.values())))
     rng = np.random.default_rng(seed)
     matrix = np.zeros((len(vocab), file_dim))
     found = 0
@@ -136,25 +143,22 @@ class CharEncoder:
 class ContextualProvider:
     """Per-occurrence vector for the target word, dimension d_e, constant.
 
-    Two kinds: "deterministic-test" derives a unit vector from a stable hash
-    of (target token, previous token, next token) in the entry's first
+    Without a table it is "deterministic-test": a unit vector from a stable
+    hash of (target token, previous token, next token) in the entry's first
     context, or of the word alone when that context has no resolved
-    occurrence; "file-backed" looks up a precomputed vector by entry id and
-    fails on absent keys.
+    occurrence. With a table it is "file-backed": a precomputed vector by
+    entry id, failing on absent keys.
     """
 
-    def __init__(self, kind: str, dim: int, seed: int = 0, table: dict | None = None):
-        if kind not in ("deterministic-test", "file-backed"):
-            raise EmbeddingError(f"unknown contextual provider kind {kind!r}")
-        if kind == "file-backed" and table is None:
-            raise EmbeddingError("file-backed provider needs a table")
-        self.kind = kind
+    def __init__(self, dim: int, seed: int = 0, table: dict | None = None):
         self.dim = dim
         self.seed = seed
-        self.table = table or {}
+        self.table = table
+        # recorded in checkpoint headers as "contextual_kind"
+        self.kind = "deterministic-test" if table is None else "file-backed"
 
     def embed_for_entry(self, entry) -> np.ndarray:
-        if self.kind == "file-backed":
+        if self.table is not None:
             if entry.entry_id not in self.table:
                 raise EmbeddingError(
                     f"no precomputed contextual vector for entry {entry.entry_id!r}")
@@ -176,16 +180,6 @@ class ContextualProvider:
         return v / np.linalg.norm(v)
 
 
-def load_contextual_file(path, dim: int, seed: int = 0) -> ContextualProvider:
-    """Text format: one "entry_id v1 .. v_de" record per line, length-checked."""
-    table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) - 1 != dim:
-                raise EmbeddingError(
-                    f"{path}:{line_no}: expected {dim} values, got {len(parts) - 1}")
-            table[parts[0]] = np.array([float(v) for v in parts[1:]])
-    return ContextualProvider("file-backed", dim, seed=seed, table=table)
+def load_contextual_file(path, dim: int) -> ContextualProvider:
+    """A file-backed provider from a vector file keyed by entry id."""
+    return ContextualProvider(dim, table=_read_vectors(path, dim))

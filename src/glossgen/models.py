@@ -68,6 +68,24 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
     return total
 
 
+def assign_arrays(targets: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Copy ``arrays`` into the tensors of the same names. Every name, shape
+    and dtype is checked first, so a mismatch raises ShapeError with no
+    tensor changed."""
+    missing = sorted(set(targets) - set(arrays))
+    extra = sorted(set(arrays) - set(targets))
+    if missing or extra:
+        raise ShapeError(
+            f"checkpoint mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
+    for name, tensor in targets.items():
+        got, want = arrays[name], tensor.data
+        if (got.shape, got.dtype) != (want.shape, want.dtype):
+            raise ShapeError(f"checkpoint array {name!r} is {got.dtype} {got.shape}, "
+                             f"model expects {want.dtype} {want.shape}")
+    for name, tensor in targets.items():
+        tensor.data[...] = arrays[name]
+
+
 @dataclass
 class ForwardOutput:
     loss: Tensor                      # optimization objective (scalar)
@@ -133,8 +151,7 @@ class DefinitionModel:
             if cfg.kind in ("hier-du", "hier-ud"):
                 self.shortcut = Tensor(glorot(kids[9], (g + cfg.d_s, g)),
                                        requires_grad=True)
-        self.contextual = contextual or ContextualProvider(
-            "deterministic-test", cfg.d_e, seed=seed)
+        self.contextual = contextual or ContextualProvider(cfg.d_e, seed=seed)
         if self.contextual.dim != cfg.d_e:
             raise ShapeError(
                 f"contextual provider dim {self.contextual.dim} != model d_e {cfg.d_e}")
@@ -158,26 +175,15 @@ class DefinitionModel:
             p["hier.W_p"] = self.shortcut
         return p
 
+    def _state_tensors(self) -> dict[str, Tensor]:
+        """Every tensor needed to reconstruct the model, frozen tables included."""
+        return {**self.params(), "emb.frozen": self.embedding.frozen}
+
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every array needed to reconstruct the model, frozen tables included."""
-        out = {name: t.data for name, t in self.params().items()}
-        out["emb.frozen"] = self.embedding.frozen.data
-        return out
+        return {name: t.data for name, t in self._state_tensors().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        targets = self.params()
-        targets["emb.frozen"] = self.embedding.frozen
-        missing = sorted(set(targets) - set(arrays))
-        extra = sorted(set(arrays) - set(targets))
-        if missing or extra:
-            raise ShapeError(
-                f"checkpoint mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
-        for name, tensor in targets.items():
-            if arrays[name].shape != tensor.data.shape:
-                raise ShapeError(
-                    f"checkpoint array {name!r} has shape {arrays[name].shape}, "
-                    f"model expects {tensor.data.shape}")
-            tensor.data[...] = arrays[name]
+        assign_arrays(self._state_tensors(), arrays)
 
     # -- conditioning -------------------------------------------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glossgen.checkpoint import (FORMAT_VERSION, META_KEY, CheckpointError,
-                                 load_checkpoint, load_pretrained, read_meta,
+                                 load_checkpoint, load_pretrained,
                                  save_checkpoint, save_pretrained)
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig, config_to_dict
 from glossgen.data import DictionaryEntry, Vocabulary
@@ -94,7 +94,18 @@ class TestRoundTrip:
         model = build()
         path = tmp_path / "m.npz"
         save_checkpoint(path, model, full_cfg(), extra_meta={"valid_ppl": 2.5})
-        assert read_meta(path)["valid_ppl"] == 2.5
+        assert load_checkpoint(path)[2]["valid_ppl"] == 2.5
+
+    def test_header_with_stopwords_field_loads(self, tmp_path):
+        """Checkpoints written before ``data.stopwords`` was dropped still load."""
+        cfg = full_cfg()
+        path, old = tmp_path / "m.npz", tmp_path / "old.npz"
+        save_checkpoint(path, build(), cfg)
+        payload = config_to_dict(cfg)
+        payload["data"]["stopwords"] = ""
+        _tamper(path, old, config=payload)
+        _, cfg2, _ = load_checkpoint(old)
+        assert config_to_dict(cfg2) == config_to_dict(cfg)
 
 
 class TestGuards:
@@ -121,7 +132,7 @@ class TestGuards:
         with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(path)
         with pytest.raises(CheckpointError, match="header"):
-            read_meta(path)
+            load_pretrained(path, build())
 
 
 class TestAtomicWrite:

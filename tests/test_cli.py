@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def trained(cfg_path, tmp_path_factory):
                  "--out-dir", str(run), "--manifest", manifest]) == 0
     return {"cfg": cfg_path, "manifest": manifest, "dir": str(run),
             "checkpoint": str(run / "model.npz")}
+
+
+@pytest.fixture(scope="module")
+def warm_start(cfg_path, tmp_path_factory):
+    """A warm-start file of the initial decoder branch at the micro config."""
+    out = tmp_path_factory.mktemp("pre")
+    assert main(["pretrain", "--config", cfg_path, "--seed", "0", "--out-dir", str(out),
+                 "--override", "train.pretrain_epochs=0"]) == 0
+    return out / "pretrained.npz"
 
 
 class TestDataCommands:
@@ -240,6 +250,77 @@ class TestEvalAndGenerate:
         assert "usage" in capsys.readouterr().err
 
 
+class TestMalformedInputFiles:
+    """A malformed input file is a user error (exit 1) that names the file."""
+
+    def run(self, argv, path, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(path) in err
+
+    @pytest.mark.parametrize("key, line", [
+        ("embeddings_file", "the 0.1 abc 0 0 0 0 0 0"),
+        ("contextual_file", "adv.1 0.1 abc 0 0 0 0 0 0"),
+        ("contextual_file", "query-0 nan 0.4 0 0 0 0 0 0"),
+        ("contextual_file", ""),
+    ])
+    def test_vector_file(self, cfg_path, tmp_path, capsys, key, line):
+        path = tmp_path / "vectors.txt"
+        path.write_text(line + "\n")
+        self.run(["train", "--config", cfg_path, "--out-dir", str(tmp_path / "run"),
+                  "--override", "train.max_epochs=0",
+                  "--override", "model.contextual_on=true",
+                  "--override", f"data.{key}={path}"], path, capsys)
+
+    @pytest.mark.parametrize("kind", ["text", "truncated", "npy", "header", "warm-start"])
+    def test_checkpoint_file(self, trained, warm_start, tmp_path, capsys, kind):
+        path = tmp_path / "bad.npz"
+        if kind == "text":
+            path.write_text("# glossgen\n")
+        elif kind == "truncated":
+            data = open(trained["checkpoint"], "rb").read()
+            path.write_bytes(data[:len(data) // 2])
+        elif kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif kind == "header":
+            with open(path, "wb") as fh:
+                np.savez(fh, __meta__=np.array("{not json"))
+        else:
+            path = warm_start
+        self.run(["generate", "--config", trained["cfg"], "--checkpoint", str(path),
+                  "--word", "check", "--context", "a check mark"], path, capsys)
+
+    def test_eval_rejects_warm_start_file(self, trained, warm_start, capsys):
+        self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(warm_start)],
+                 warm_start, capsys)
+
+    def test_train_rejects_text_as_warm_start(self, cfg_path, tmp_path, capsys):
+        path = tmp_path / "README.md"
+        path.write_text("# glossgen\n")
+        self.run(["train", "--config", cfg_path, "--out-dir", str(tmp_path / "run"),
+                  "--override", "train.max_epochs=0", "--pretrained", str(path)],
+                 path, capsys)
+
+    @pytest.mark.parametrize("text", ["# glossgen\n", "[]", '{"train": 5}',
+                                      '{"train": [], "valid": []}'])
+    def test_stats_manifest(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        self.run(["data", "stats", "--manifest", str(path)], path, capsys)
+
+    def test_train_checks_manifest_before_fitting(self, cfg_path, trained, tmp_path, capsys):
+        manifest = json.loads(open(trained["manifest"]).read())
+        del manifest["test"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        run = tmp_path / "run"
+        self.run(["train", "--config", cfg_path, "--out-dir", str(run),
+                  "--manifest", str(path)], path, capsys)
+        assert not (run / "model.npz").exists()
+
+
 class TestAblate:
     def test_grid_runs_and_tabulates(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "abl"
@@ -276,6 +357,11 @@ class TestErrorsAndPaths:
         (["--seed", "-1"], "train.seed"),
         (["--override", "model.temperature=nan"], "model.temperature"),
         (["--override", "data.corpus=a\x00b"], "data.corpus"),
+        (["--override", "train.lr=nan"], "train.lr"),
+        (["--override", "train.lr=inf"], "train.lr"),
+        (["--override", "train.eps=0"], "train.eps"),
+        (["--override", "train.clip_norm=0"], "train.clip_norm"),
+        (["--override", "train.clip_norm=-5"], "train.clip_norm"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, args, key):
         assert main(["data", "split", "--out-dir", str(tmp_path / "s")] + args) == 1
@@ -328,3 +414,70 @@ def test_any_config_value_exits_zero_or_one(tmp_path_factory, key, value):
     out = tmp_path_factory.getbasetemp() / "any-config-value"
     code = main(["data", "split", "--out-dir", str(out), "--override", f"{key}={value}"])
     assert code in (0, 1)
+
+
+EDITS = st.one_of(st.binary(max_size=4),
+                  st.sampled_from([b"nan", b"inf", b"abc", b"-1", b"1e999", b"0", b" ",
+                                   b"\n", b"=", b",", b'"', b"{", b"]", b"\xff"]))
+
+
+def file_variants(valid: bytes):
+    """Random bytes, truncations and one-spot edits of a valid file."""
+    at = st.integers(0, len(valid))
+    return st.one_of(
+        st.binary(max_size=64),
+        at.map(lambda n: valid[:n]),
+        st.tuples(at, st.integers(0, 4), EDITS).map(
+            lambda t: valid[:t[0]] + t[2] + valid[t[0] + t[1]:]),
+    )
+
+
+@pytest.fixture(scope="module")
+def input_files(cfg_path, trained, warm_start, tmp_path_factory):
+    """Per file input: a valid file's bytes and a command reading ``{path}``."""
+    read = lambda path: Path(path).read_bytes()
+    asset = lambda name: read(resolve_data_path("", name))
+    entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
+    vector = "0.25 -1 3e-2 0 1 0.5 -0.125 2"
+    return {
+        "data.corpus": (asset("mini_corpus.jsonl"),
+                        ["train", "--override", "data.corpus={path}"]),
+        "data.lm_corpus": (asset("lm_corpus.txt"),
+                           ["pretrain", "--override", "data.lm_corpus={path}"]),
+        "data.embeddings_file": ("".join(f"{w} {vector}\n" for w in ("the", "a", "check")
+                                         ).encode(),
+                                 ["train", "--override", "data.embeddings_file={path}"]),
+        "data.contextual_file": ("".join(f"{e.entry_id} {vector}\n" for e in entries
+                                         ).encode(),
+                                 ["train", "--override", "model.contextual_on=true",
+                                  "--override", "data.contextual_file={path}"]),
+        "--config": (MICRO_CFG.encode(), ["train", "--config", "{path}"]),
+        "--manifest": (read(trained["manifest"]), ["train", "--manifest", "{path}"]),
+        "--checkpoint": (read(trained["checkpoint"]),
+                         ["generate", "--checkpoint", "{path}", "--word", "check",
+                          "--context", "a check mark"]),
+        "--pretrained": (read(warm_start), ["train", "--pretrained", "{path}"]),
+        "--stopwords": (asset("stopwords.txt"), ["data", "vocab", "--stopwords", "{path}"]),
+    }
+
+
+@pytest.mark.parametrize("name", ["data.corpus", "data.lm_corpus", "data.embeddings_file",
+                                  "data.contextual_file", "--config", "--manifest",
+                                  "--checkpoint", "--pretrained", "--stopwords"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_input_file_exits_zero_or_one(input_files, cfg_path, tmp_path_factory,
+                                          name, data):
+    """Whatever bytes an input file holds, the CLI runs (micro dims, no
+    epochs) or reports a user error."""
+    base = tmp_path_factory.getbasetemp() / "any-input-file"
+    base.mkdir(exist_ok=True)
+    valid, command = input_files[name]
+    path = base / "input"
+    path.write_bytes(data.draw(file_variants(valid)))
+    argv = [arg.format(path=path) for arg in command]
+    argv += ["--out-dir", str(base / "run"), "--override", "train.max_epochs=0",
+             "--override", "train.pretrain_epochs=0"]
+    if name != "--config":
+        argv += ["--config", cfg_path]
+    assert main(argv) in (0, 1)

@@ -145,14 +145,6 @@ class TestVocabulary:
         assert ids[1] == v.unk_id
         assert v.decode(ids) == ["cat", "<unk>", "sat"]
 
-    def test_save_load_fingerprint(self, tmp_path):
-        v = D.build_vocab(["cat", "sat", "mat"], k=7)
-        path = tmp_path / "vocab.txt"
-        v.save(path)
-        v2 = D.Vocabulary.load(path)
-        assert v2.id_to_token == v.id_to_token
-        assert v2.fingerprint() == v.fingerprint()
-
 
 def entry(word, sense, eid):
     return D.DictionaryEntry(

@@ -175,29 +175,29 @@ class TestContextualProvider:
             context_target_indices=indices)
 
     def test_deterministic_same_input(self):
-        p = E.ContextualProvider("deterministic-test", dim=16, seed=1)
+        p = E.ContextualProvider(dim=16, seed=1)
         entry = self.make_entry([["he", "paid", "the", "check"]], [3])
         assert np.array_equal(p.embed_for_entry(entry), p.embed_for_entry(entry))
 
     def test_different_neighbors_differ(self):
-        p = E.ContextualProvider("deterministic-test", dim=16, seed=1)
+        p = E.ContextualProvider(dim=16, seed=1)
         a = p.embed_for_entry(self.make_entry([["the", "check", "bounced"]], [1]))
         b = p.embed_for_entry(self.make_entry([["a", "check", "mark"]], [1]))
         assert not np.allclose(a, b)
 
     def test_unit_norm(self):
-        p = E.ContextualProvider("deterministic-test", dim=32, seed=5)
+        p = E.ContextualProvider(dim=32, seed=5)
         for ctx, i in [(["lone"], 0), (["a", "b", "c"], 1), (["x", "y"], 1), (["z"], None)]:
             v = p.embed_for_entry(self.make_entry([ctx], [i]))
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
     def test_index_out_of_range(self):
-        p = E.ContextualProvider("deterministic-test", dim=8)
+        p = E.ContextualProvider(dim=8)
         with pytest.raises(E.EmbeddingError, match="out of range"):
             p.embed_for_entry(self.make_entry([["one", "two"]], [2]))
 
     def test_absent_occurrence_falls_back_to_word(self):
-        p = E.ContextualProvider("deterministic-test", dim=8, seed=2)
+        p = E.ContextualProvider(dim=8, seed=2)
         v = p.embed_for_entry(self.make_entry([["unrelated", "words"]], [None]))
         # the word alone hashes like a one-token context holding only the word
         assert np.array_equal(v, p.embed_for_entry(self.make_entry([["check"]], [0])))
@@ -221,6 +221,44 @@ class TestContextualProvider:
         with pytest.raises(E.EmbeddingError, match=":1:"):
             E.load_contextual_file(path, dim=4)
 
-    def test_unknown_kind(self):
-        with pytest.raises(E.EmbeddingError):
-            E.ContextualProvider("frozen-lm", dim=8)
+    def test_kind_follows_table(self, tmp_path):
+        path = tmp_path / "ctx.txt"
+        path.write_text("e1 1 2 3 4\n")
+        assert E.ContextualProvider(dim=4).kind == "deterministic-test"
+        assert E.load_contextual_file(path, dim=4).kind == "file-backed"
+
+
+class TestVectorFiles:
+    """Word-vector and contextual files share one "key v1 .. vd" parser."""
+
+    LOADERS = {
+        "word": lambda path: E.load_word_embeddings(path, small_vocab(), seed=0, dim=2),
+        "contextual": lambda path: E.load_contextual_file(path, dim=2),
+    }
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("text, match", [
+        ("cat 0.1 0.2\nthe 0.1 abc\n", ":2: values must be numbers"),
+        ("cat 0.1 0.2\nquery-0 nan 0.4\n", ":2: values must be finite"),
+        ("cat inf 0.2\n", ":1: values must be finite"),
+        ("cat 0.1 0.2 0.3\n", ":1: expected 2 values, got 3"),
+        ("\n  \n", "no records"),
+        ("3 2\n", "no records"),
+    ])
+    def test_bad_file_names_path(self, tmp_path, loader, text, match):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        with pytest.raises(E.EmbeddingError, match=match) as info:
+            self.LOADERS[loader](path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_count_dim_header_skipped(self, tmp_path, loader):
+        path = tmp_path / "v.txt"
+        path.write_text("1 2\ncat 0.5 0.25\n")
+        self.LOADERS[loader](path)
+
+    def test_one_value_records_have_no_header(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("7 3\n8 4\n")
+        assert E.load_contextual_file(path, dim=1).table.keys() == {"7", "8"}

@@ -313,6 +313,21 @@ class TestStateArrays:
         with pytest.raises(ShapeError, match="checkpoint"):
             b.load_state_arrays(a.state_arrays())
 
+    @pytest.mark.parametrize("edit", [lambda x: x[:-1], lambda x: x.astype(str)],
+                             ids=["shape", "dtype"])
+    def test_late_mismatch_leaves_model_unchanged(self, edit):
+        vocab = make_vocab()
+        a = DefinitionModel(micro_cfg(), vocab, seed=1)
+        b = DefinitionModel(micro_cfg(), vocab, seed=2)
+        before = {k: v.copy() for k, v in b.state_arrays().items()}
+        arrays = a.state_arrays()
+        last = list(arrays)[-1]
+        arrays[last] = edit(arrays[last])
+        with pytest.raises(ShapeError, match=last):
+            b.load_state_arrays(arrays)
+        for name, value in b.state_arrays().items():
+            assert np.array_equal(value, before[name]), name
+
 
 class TestGeneration:
     def test_same_seed_same_tokens(self):
