@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .autodiff import ShapeError
-from .config import Config, config_from_dict, config_to_dict
+from .config import Config, ConfigError, config_from_dict, config_to_dict, validate
 from .data import Vocabulary
 from .embeddings import CHARS, ContextualProvider
 from .models import DefinitionModel, assign_arrays
@@ -67,6 +67,31 @@ def _read(path, kind: str | None = None) -> tuple[dict, dict]:
     return meta, arrays
 
 
+# header field -> type, for every field ``load_checkpoint`` reads
+HEADER_FIELDS = {"config": dict, "vocab_tokens": list, "vocab_fingerprint": str,
+                 "seed": int, "contextual_kind": str, "contextual_seed": int}
+
+
+def _checked_header(path, meta: dict) -> Config:
+    """Check a checkpoint header before anything is built from it; returns
+    its validated config. Any fault is a CheckpointError naming the path."""
+    for key, kind in HEADER_FIELDS.items():
+        value = meta.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CheckpointError(f"{path}: header field {key!r} is missing or "
+                                  f"not a {kind.__name__}")
+        if kind is int and value < 0:
+            raise CheckpointError(f"{path}: header field {key!r} is negative")
+    if not all(isinstance(t, str) for t in meta["vocab_tokens"]):
+        raise CheckpointError(f"{path}: header field 'vocab_tokens' holds a non-string")
+    try:
+        cfg = config_from_dict(meta["config"])
+        validate(cfg)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: stored config is invalid: {exc}") from None
+    return cfg
+
+
 def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) -> None:
     meta = {
         "config": config_to_dict(cfg),
@@ -89,7 +114,7 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     must be supplied by the caller when the run used one.
     """
     meta, arrays = _read(path)
-    cfg = config_from_dict(meta["config"])
+    cfg = _checked_header(path, meta)
     tokens = meta["vocab_tokens"]
     vocab = Vocabulary(tokens[4:])
     if vocab.fingerprint() != meta["vocab_fingerprint"]:

@@ -24,7 +24,7 @@ from .data import (CorpusError, Vocabulary, apply_split_manifest, build_vocab,
                    partition_seen_unseen, split_by_sense, write_split_manifest)
 from .embeddings import (ContextualProvider, EmbeddingError,
                          load_contextual_file, load_word_embeddings)
-from .metrics import MetricsError, evaluate, format_report, report_lines
+from .metrics import MetricsError, evaluate, format_report, json_text, report_lines
 from .models import DefinitionModel, expected_param_count
 from .training import (TrainingError, load_lm_sentences, make_query_entry,
                        pretrain_decoder, train)
@@ -86,8 +86,7 @@ def _clean_argv(argv: list[str]) -> list[str]:
 
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload, indent=2) + "\n")
 
 
 def _prepare_out(out_dir: str, cfg: Config, argv: list[str]) -> None:
@@ -272,7 +271,8 @@ def cmd_train(args, cfg, argv) -> int:
     })
     print(f"trained {result.epochs_run} epochs; best valid perplexity "
           f"{result.best_ppl:.4f} at epoch {result.best_epoch}")
-    print(f"checkpoint: {os.path.join(out_dir, 'model.npz')}")
+    if result.best_epoch:  # an epoch was kept, so its checkpoint was written
+        print(f"checkpoint: {os.path.join(out_dir, 'model.npz')}")
     return 0
 
 
@@ -300,9 +300,8 @@ def cmd_eval(args, cfg, argv) -> int:
             fh.write(text)
         with open(os.path.join(args.out_dir, "report.jsonl"), "w",
                   encoding="utf-8") as fh:
-            fh.write(json.dumps({"config_digest": config_digest(cfg),
-                                 "command": _clean_argv(argv)},
-                                sort_keys=True) + "\n")
+            fh.write(json_text({"config_digest": config_digest(cfg),
+                                "command": _clean_argv(argv)}) + "\n")
             fh.write("\n".join(report_lines(report)) + "\n")
     return 0
 
@@ -372,10 +371,10 @@ def cmd_ablate(args, cfg, argv) -> int:
     with open(os.path.join(out_dir, "ablation.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out_dir, "ablation.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"config_digest": config_digest(cfg),
-                             "command": _clean_argv(argv)}, sort_keys=True) + "\n")
+        fh.write(json_text({"config_digest": config_digest(cfg),
+                            "command": _clean_argv(argv)}) + "\n")
         for r in rows:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+            fh.write(json_text(r) + "\n")
     print(f"table: {os.path.join(out_dir, 'ablation.txt')}")
     return 0
 

@@ -177,13 +177,51 @@ def config_to_dict(cfg: Config) -> dict:
     return out
 
 
-def config_from_dict(payload: dict) -> Config:
-    data = dict(payload["data"])
-    data["split_ratios"] = tuple(data["split_ratios"])
-    data.pop("stopwords", None)  # unread field that older checkpoints still carry
-    return Config(model=ModelConfig(**payload["model"]),
-                  train=TrainConfig(**payload["train"]),
-                  data=DataConfig(**data))
+def _typed(key: str, value, current):
+    """A value read back from JSON, checked against the type of ``current``."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if isinstance(current, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(current, int):
+        ok = number(value) and isinstance(value, int)
+    elif isinstance(current, float):
+        ok = number(value)
+    elif isinstance(current, tuple):
+        ok = isinstance(value, list) and all(map(number, value))
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ConfigError(f"{key}: expected {type(current).__name__}, got {value!r}")
+    return tuple(value) if isinstance(current, tuple) else value
+
+
+def config_from_dict(payload) -> Config:
+    """Rebuild a config from ``config_to_dict`` output read back from a file.
+
+    Each section must be an object and each value must have its field's type,
+    else a ConfigError names the key; absent fields take their defaults.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError("config must be an object")
+    default = default_config()
+    sections = {}
+    for section in fields(Config):
+        values = payload.get(section.name)
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section.name!r} missing or not an object")
+        values = dict(values)
+        if section.name == "data":
+            values.pop("stopwords", None)  # unread field that older checkpoints still carry
+        base = getattr(default, section.name)
+        known = {f.name for f in fields(base)}
+        for key, value in values.items():
+            if key not in known:
+                raise ConfigError(f"unknown config key {section.name}.{key!r}")
+            values[key] = _typed(f"{section.name}.{key}", value, getattr(base, key))
+        sections[section.name] = replace(base, **values)
+    return Config(**sections)
 
 
 def config_to_text(cfg: Config) -> str:

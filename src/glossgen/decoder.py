@@ -168,6 +168,15 @@ class DecoderStack:
             new_states.append(inp)
         return new_states
 
+    def run(self, states: list[Tensor], x: Tensor) -> Tensor:
+        """Teacher-forced pass over time-major rows of ``x`` (row t*B + b),
+        one layer at a time; returns the top layer's states in the same rows."""
+        if len(states) != self.n_layers:
+            raise ShapeError(f"{self.prefix}: expected {self.n_layers} states, got {len(states)}")
+        for cell, h in zip(self.cells, states):
+            x = cell.run(h, x)
+        return x
+
     def logits(self, h: Tensor) -> Tensor:
         """Project the top layer's state to vocabulary logits (batch, V)."""
         return add(matmul(h, self._params[f"{self.prefix}.W_d"]),

@@ -25,6 +25,10 @@ class GruCell:
 
     With all-zero parameters and h = v this gives h_new = 0.5 v (z = 0.5,
     cand = 0), which pins the convention: the update gate scales the candidate.
+
+    A step is split in two: ``project`` computes the input halves x W + b,
+    ``advance`` adds h U and applies the gates. ``run`` projects a whole
+    sequence at once and advances through it; ``step`` does one step.
     """
 
     def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int,
@@ -44,20 +48,48 @@ class GruCell:
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def step(self, h_prev: Tensor, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.input_dim or h_prev.shape[-1] != self.hidden_dim:
-            raise ShapeError(
-                f"{self.prefix}: expected input dim {self.input_dim} and hidden dim "
-                f"{self.hidden_dim}, got x {x.shape} and h {h_prev.shape}")
+    def project(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The input halves x W + b of the three gates, for every row of x."""
+        if x.shape[-1] != self.input_dim:
+            raise ShapeError(f"{self.prefix}: expected input dim {self.input_dim}, "
+                             f"got x {x.shape}")
         p, pre = self._params, self.prefix
-        z = sigmoid(add(add(matmul(x, p[f"{pre}.W_z"]), matmul(h_prev, p[f"{pre}.U_z"])),
-                        p[f"{pre}.b_z"]))
-        r = sigmoid(add(add(matmul(x, p[f"{pre}.W_r"]), matmul(h_prev, p[f"{pre}.U_r"])),
-                        p[f"{pre}.b_r"]))
-        cand = tanh(add(add(matmul(x, p[f"{pre}.W_h"]),
-                            matmul(mul(r, h_prev), p[f"{pre}.U_h"])),
-                        p[f"{pre}.b_h"]))
+        return tuple(add(matmul(x, p[f"{pre}.W_{gate}"]), p[f"{pre}.b_{gate}"])
+                     for gate in ("z", "r", "h"))
+
+    def advance(self, h_prev: Tensor, proj) -> Tensor:
+        """One recurrent step from projected inputs; only h U is computed here."""
+        if h_prev.shape[-1] != self.hidden_dim or proj[0].shape != h_prev.shape:
+            raise ShapeError(
+                f"{self.prefix}: expected hidden dim {self.hidden_dim} and matching "
+                f"rows, got h {h_prev.shape} and projected x {proj[0].shape}")
+        p, pre = self._params, self.prefix
+        xz, xr, xh = proj
+        z = sigmoid(add(xz, matmul(h_prev, p[f"{pre}.U_z"])))
+        r = sigmoid(add(xr, matmul(h_prev, p[f"{pre}.U_r"])))
+        cand = tanh(add(xh, matmul(mul(r, h_prev), p[f"{pre}.U_h"])))
         return add(mul(one_minus(z), h_prev), mul(z, cand))
+
+    def step(self, h_prev: Tensor, x: Tensor) -> Tensor:
+        return self.advance(h_prev, self.project(x))
+
+    def run(self, h0: Tensor, x: Tensor, reverse: bool = False) -> Tensor:
+        """Run over a whole sequence given as time-major rows of x (row
+        t*B + b is step t of sequence b, B = rows of h0). The inputs are
+        projected in one matmul per gate; returns the states in x's rows."""
+        batch = h0.shape[0]
+        steps = x.shape[0] // batch
+        if steps * batch != x.shape[0] or steps == 0:
+            raise ShapeError(f"{self.prefix}: {x.shape[0]} input rows do not split "
+                             f"into steps of {batch}")
+        proj = self.project(x)
+        states: list[Tensor | None] = [None] * steps
+        h = h0
+        for t in (reversed(range(steps)) if reverse else range(steps)):
+            h = self.advance(h, [slice_axis(p, 0, t * batch, (t + 1) * batch)
+                                 for p in proj])
+            states[t] = h
+        return concat(states, axis=0)
 
     def zero_state(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.hidden_dim)))
@@ -95,20 +127,8 @@ class ContextEncoder:
         if not ids:
             raise ShapeError("context encoder: empty context")
         emb = embedding_lookup(self.table, ids)  # (m, d_w)
-        m = len(ids)
-        xs = [slice_axis(emb, 0, t, t + 1) for t in range(m)]
-        h = self.fwd.zero_state(1)
-        fwd_states = []
-        for t in range(m):
-            h = self.fwd.step(h, xs[t])
-            fwd_states.append(h)
-        h = self.bwd.zero_state(1)
-        bwd_states: list[Tensor | None] = [None] * m
-        for t in reversed(range(m)):
-            h = self.bwd.step(h, xs[t])
-            bwd_states[t] = h
-        rows = [concat([fwd_states[t], bwd_states[t]], axis=1) for t in range(m)]
-        H = rows[0] if m == 1 else concat(rows, axis=0)
+        h0 = self.fwd.zero_state(1)
+        H = concat([self.fwd.run(h0, emb), self.bwd.run(h0, emb, reverse=True)], axis=1)
         v_c = max_over_axis(H, axis=0, keepdims=True)
         return EncodedContext(H=H, v_c=v_c)
 

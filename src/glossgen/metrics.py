@@ -25,6 +25,21 @@ class MetricsError(Exception):
     pass
 
 
+def json_text(payload, indent: int | None = None) -> str:
+    """Strict JSON with sorted keys; a non-finite float (an undefined metric,
+    such as the perplexity of an empty split) is written as null."""
+    def clean(value):
+        if isinstance(value, float) and not np.isfinite(value):
+            return None
+        if isinstance(value, dict):
+            return {k: clean(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [clean(v) for v in value]
+        return value
+
+    return json.dumps(clean(payload), sort_keys=True, indent=indent, allow_nan=False)
+
+
 def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
@@ -199,7 +214,7 @@ def report_lines(report: EvalReport) -> list[str]:
         rows.append({"usage_inclusion": report.usage_inclusion})
     if report.empty_candidates:
         rows.append({"empty_candidates": report.empty_candidates})
-    return [json.dumps(row, sort_keys=True) for row in rows]
+    return [json_text(row) for row in rows]
 
 
 def format_report(report: EvalReport) -> str:

@@ -254,8 +254,10 @@ class DefinitionModel:
                 self.usg_stack, self.usg_gate)
 
     def _step(self, route, states, prev_ids, a, c, e_star):
-        """One decode step; ``states`` is (lower states, upper states) and the
-        lower half is carried unchanged when the route has no lower stack."""
+        """One sampling step; ``states`` is (lower states, upper states) and
+        the lower half is carried unchanged when the route has no lower stack.
+        Teacher forcing runs the same cells over whole sequences instead
+        (``_decode_loss``)."""
         lower, upper, gate = route
         low, up = states
         x = gate.build(a, self.embedding.embed(prev_ids), c, e_star)
@@ -266,15 +268,25 @@ class DefinitionModel:
         return (low, up), upper.logits(up[-1])
 
     def _decode_loss(self, route, s0, a, c, e_star, seqs):
-        """Teacher-forced NLL of ``seqs``: (token mean, total, token count)."""
+        """Teacher-forced NLL of ``seqs``: (token mean, total, token count).
+
+        Every input is known up front, so each stack runs one layer at a time
+        over all steps in time-major rows (row t*B + b is entry b at step t):
+        each weight matrix sees one matmul over B*T rows."""
+        lower, upper, gate = route
         inputs, golds, mask = self._teacher_arrays(seqs)
-        states = (s0, s0)
-        ces = []
-        for t in range(inputs.shape[1]):
-            states, logits = self._step(route, states, inputs[:, t], a, c, e_star)
-            ce = cross_entropy_from_logits(logits, golds[:, t])
-            ces.append(mul(ce, Tensor(mask[:, t])))
-        total = sum_all(ces[0] if len(ces) == 1 else concat(ces, axis=0))
+        steps = inputs.shape[1]
+
+        def tile(v):
+            return None if v is None else concat([v] * steps, axis=0)
+
+        x = gate.build(tile(a), self.embedding.embed(inputs.T.reshape(-1)),
+                       tile(c), tile(e_star))
+        if lower is not None:
+            x = matmul(concat([x, lower.run(s0, x)], axis=1), self.shortcut)
+        logits = upper.logits(upper.run(s0, x))
+        ce = cross_entropy_from_logits(logits, golds.T.reshape(-1))
+        total = sum_all(mul(ce, Tensor(mask.T.reshape(-1))))
         count = int(mask.sum())
         return scale(total, 1.0 / count), float(total.data), count
 

@@ -9,7 +9,6 @@ checkpoint is whichever epoch minimizes it.
 
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ from .autodiff import (AdamState, NumericalError, Tape, adam_step, backward,
 from .checkpoint import save_checkpoint, save_pretrained
 from .config import Config
 from .data import DictionaryEntry, find_target_occurrence, tokenize
-from .metrics import perplexity
+from .metrics import json_text, perplexity
 
 
 class TrainingError(Exception):
@@ -33,7 +32,6 @@ class TrainResult:
     best_ppl: float
     epochs_run: int
     history: list = field(default_factory=list)   # one dict per epoch
-    checkpoint_path: str | None = None
 
 
 def _batches(items: list, batch_size: int, rng: np.random.Generator):
@@ -44,7 +42,7 @@ def _batches(items: list, batch_size: int, rng: np.random.Generator):
 
 def _log(fh, record: dict) -> None:
     if fh is not None:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(json_text(record) + "\n")
         fh.flush()
 
 
@@ -136,8 +134,7 @@ def train(model, cfg: Config, train_entries, valid_entries,
                    lambda batch: model.forward_batch(batch).loss, where, log_path,
                    end_epoch)
     return TrainResult(best_epoch=best_epoch, best_ppl=best_ppl,
-                       epochs_run=len(history), history=history,
-                       checkpoint_path=checkpoint_path)
+                       epochs_run=len(history), history=history)
 
 
 def load_lm_sentences(path, vocab) -> list[list[int]]:

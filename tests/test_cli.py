@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glossgen import checkpoint
 from glossgen.cli import main, resolve_data_path
 from glossgen.config import default_config
 from glossgen.data import load_corpus, split_by_sense
@@ -141,6 +142,29 @@ class TestTrain:
             b = open(os.path.join(other, name), "rb").read()
             assert a == b, name
 
+    @pytest.mark.parametrize("override, kept", [("train.max_epochs=0", False),
+                                                ("data.split_ratios=0.9,0,0.1", True)])
+    def test_json_files_are_strict(self, cfg_path, tmp_path, capsys, override, kept):
+        # No epoch run, or no validation split: the perplexity is undefined,
+        # which must reach the files as null, not as Infinity or NaN.
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg_path, "--out-dir", str(out),
+                     "--override", override]) == 0
+        printed = capsys.readouterr().out
+        assert (out / "model.npz").exists() == kept
+        assert ("checkpoint:" in printed) == kept
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        names = sorted(p.name for p in out.iterdir() if p.suffix in (".json", ".jsonl"))
+        assert {"run.json", "summary.json", "train_log.jsonl"} <= set(names)
+        for name in names:
+            text = (out / name).read_text()
+            for doc in text.splitlines() if name.endswith(".jsonl") else [text]:
+                json.loads(doc, parse_constant=reject)
+        assert json.loads((out / "summary.json").read_text())["best_valid_ppl"] is None
+
     def test_missing_out_dir_is_user_error(self, capsys):
         assert main(["train"]) == 1
         assert "--out-dir" in capsys.readouterr().err
@@ -273,10 +297,27 @@ class TestMalformedInputFiles:
                   "--override", "model.contextual_on=true",
                   "--override", f"data.{key}={path}"], path, capsys)
 
-    @pytest.mark.parametrize("kind", ["text", "truncated", "npy", "header", "warm-start"])
+    @pytest.mark.parametrize("kind", [
+        "text", "truncated", "npy", "header", "warm-start", "no-config", "bad-config",
+        "config-type", "config-range", "vocab-type", "seed-type", "no-contextual-seed"])
     def test_checkpoint_file(self, trained, warm_start, tmp_path, capsys, kind):
         path = tmp_path / "bad.npz"
-        if kind == "text":
+        meta, arrays = checkpoint._read(trained["checkpoint"])
+        edits = {
+            "config-type": lambda m: m["config"]["model"].update(d_w="abc"),
+            "config-range": lambda m: m["config"]["train"].update(lr=-1.0),
+            "vocab-type": lambda m: m["vocab_tokens"].append(7),
+            "seed-type": lambda m: m.update(seed="0"),
+            "no-contextual-seed": lambda m: m.pop("contextual_seed"),
+        }
+        if kind in edits:
+            edits[kind](meta)
+            checkpoint._write(path, meta, arrays)
+        elif kind == "no-config":
+            checkpoint._write(path, {"x": 1}, {})
+        elif kind == "bad-config":
+            checkpoint._write(path, {"config": {"model": {"d_w": "abc"}}}, {})
+        elif kind == "text":
             path.write_text("# glossgen\n")
         elif kind == "truncated":
             data = open(trained["checkpoint"], "rb").read()

@@ -38,20 +38,31 @@ def usage_entry(**kw):
     return entry(**kw)
 
 
-def stepwise_nll(model, e, task):
-    """Total NLL of the entry's gold sequence, recomputed one ``_step`` at a
-    time exactly as ``generate`` feeds its sampler."""
-    a, c, e_star, s0, _ = model._condition([e])
-    route = model._route(task)
-    gold = model.vocab.encode(e.definition if task == "definition" else e.usage)
-    gold.append(model.vocab.eos_id)
-    states, prev, nll = (s0, s0), model.vocab.bos_id, 0.0
-    for g in gold:
-        states, logits = model._step(route, states, [prev], a, c, e_star)
-        z = logits.data[0]
-        nll -= z[g] - z.max() - np.log(np.exp(z - z.max()).sum())
-        prev = g
-    return nll, len(gold)
+def padded_batch():
+    """Two entries whose definitions and usages differ in length, the longer
+    one swapping sides, so teacher forcing pads each task differently."""
+    return [usage_entry(),
+            entry(word="dog", definition=["sun", "tree"], context=["a", "dog", "runs"],
+                  usage=["dog", "fish", "rock", "rain", "wind"], eid="e2", sense="s2")]
+
+
+def stepwise_nll(model, entries, task):
+    """Total NLL of the entries' gold sequences, recomputed one entry and one
+    ``_step`` at a time exactly as ``generate`` feeds its sampler."""
+    total, count = 0.0, 0
+    for e in entries:
+        a, c, e_star, s0, _ = model._condition([e])
+        route = model._route(task)
+        gold = model.vocab.encode(e.definition if task == "definition" else e.usage)
+        gold.append(model.vocab.eos_id)
+        states, prev = (s0, s0), model.vocab.bos_id
+        for g in gold:
+            states, logits = model._step(route, states, [prev], a, c, e_star)
+            z = logits.data[0]
+            total -= z[g] - z.max() - np.log(np.exp(z - z.max()).sum())
+            prev = g
+        count += len(gold)
+    return total, count
 
 
 class TestParamCounts:
@@ -90,11 +101,11 @@ class TestParamCounts:
 class TestForwardSingle:
     def test_nll_matches_stepwise_recomputation(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=1)
-        e = entry()
-        out = model.forward_batch([e])
-        recomputed, tokens = stepwise_nll(model, e, "definition")
-        assert abs(out.def_total_nll - recomputed) < 1e-9
-        assert out.def_tokens == tokens
+        for entries in ([entry()], padded_batch()):
+            out = model.forward_batch(entries)
+            recomputed, tokens = stepwise_nll(model, entries, "definition")
+            assert abs(out.def_total_nll - recomputed) < 1e-9
+            assert out.def_tokens == tokens
 
     def test_loss_is_token_mean(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=1)
@@ -237,12 +248,12 @@ class TestMultiTask:
     @pytest.mark.parametrize("task", ["definition", "usage"])
     def test_sampling_step_reproduces_teacher_forcing(self, kind, task):
         model = DefinitionModel(micro_cfg(kind=kind), make_vocab(), seed=21)
-        e = usage_entry()
-        out = model.forward(e)
-        recomputed, tokens = stepwise_nll(model, e, task)
-        total = out.def_total_nll if task == "definition" else out.usg_total_nll
-        assert abs(total - recomputed) < 1e-9
-        assert tokens == (out.def_tokens if task == "definition" else out.usg_tokens)
+        for entries in ([usage_entry()], padded_batch()):
+            out = model.forward_batch(entries)
+            recomputed, tokens = stepwise_nll(model, entries, task)
+            total = out.def_total_nll if task == "definition" else out.usg_total_nll
+            assert abs(total - recomputed) < 1e-9
+            assert tokens == (out.def_tokens if task == "definition" else out.usg_tokens)
 
 
 class TestGradients:
@@ -256,6 +267,27 @@ class TestGradients:
             return model.forward(e).loss
 
         assert grad_check(f, point, coord_limit=2, seed=0) < 1e-3
+
+    @pytest.mark.parametrize("case", ["single", "parallel", "hier-du", "hier-ud", "lm_loss"])
+    def test_padded_batch_grad_check(self, case):
+        # Time-major teacher forcing over entries of unequal lengths: a mix-up
+        # of batch and time rows, or a leak through the padding, shows here.
+        kind = "single" if case == "lm_loss" else case
+        model = DefinitionModel(micro_cfg(kind=kind), make_vocab(), seed=14)
+        entries = padded_batch()
+        if case == "lm_loss":
+            params = model.pretrainable_params()
+            seqs = [model.vocab.encode(e.usage) for e in entries]
+
+            def f(*tensors):
+                return model.lm_loss(seqs)[0]
+        else:
+            params = model.params()
+
+            def f(*tensors):
+                return model.forward_batch(entries).loss
+
+        assert grad_check(f, list(params.values()), coord_limit=2, seed=0) < 1e-3
 
     def test_frozen_table_untouched_by_training_step(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=15)

@@ -35,33 +35,33 @@ ENTRIES = [
 # case -> (per-op node counts, loss, global gradient norm)
 PINNED = {
     "single": (
-        {"add": 211, "concat": 20, "conv1d": 10, "cross-entropy-from-logits": 4,
-         "elementwise-mul": 86, "embedding-lookup": 8, "matmul": 162,
-         "max-over-axis": 12, "scale": 29, "sigmoid": 52, "slice": 7, "softmax": 2,
+        {"add": 157, "concat": 17, "conv1d": 10, "cross-entropy-from-logits": 1,
+         "elementwise-mul": 77, "embedding-lookup": 5, "matmul": 108,
+         "max-over-axis": 12, "scale": 29, "sigmoid": 49, "slice": 66, "softmax": 2,
          "tanh": 36},
         2.510736984501566, 0.8400259974690731),
     "parallel": (
-        {"add": 320, "concat": 27, "conv1d": 10, "cross-entropy-from-logits": 10,
-         "elementwise-mul": 140, "embedding-lookup": 14, "matmul": 247,
-         "max-over-axis": 12, "scale": 42, "sigmoid": 82, "slice": 7, "softmax": 2,
+        {"add": 226, "concat": 22, "conv1d": 10, "cross-entropy-from-logits": 2,
+         "elementwise-mul": 116, "embedding-lookup": 6, "matmul": 153,
+         "max-over-axis": 12, "scale": 42, "sigmoid": 74, "slice": 102, "softmax": 2,
          "tanh": 48},
         4.984729642398024, 1.4054293146339396),
     "hier-du": (
-        {"add": 416, "concat": 33, "conv1d": 10, "cross-entropy-from-logits": 10,
-         "elementwise-mul": 176, "embedding-lookup": 14, "matmul": 325,
-         "max-over-axis": 12, "scale": 54, "sigmoid": 106, "slice": 7, "softmax": 2,
+        {"add": 292, "concat": 25, "conv1d": 10, "cross-entropy-from-logits": 2,
+         "elementwise-mul": 152, "embedding-lookup": 6, "matmul": 196,
+         "max-over-axis": 12, "scale": 54, "sigmoid": 98, "slice": 138, "softmax": 2,
          "tanh": 60},
         4.966689106472574, 1.4494798366750745),
     "hier-ud": (
-        {"add": 384, "concat": 31, "conv1d": 10, "cross-entropy-from-logits": 10,
-         "elementwise-mul": 164, "embedding-lookup": 14, "matmul": 299,
-         "max-over-axis": 12, "scale": 50, "sigmoid": 98, "slice": 7, "softmax": 2,
+        {"add": 272, "concat": 25, "conv1d": 10, "cross-entropy-from-logits": 2,
+         "elementwise-mul": 140, "embedding-lookup": 6, "matmul": 184,
+         "max-over-axis": 12, "scale": 50, "sigmoid": 90, "slice": 126, "softmax": 2,
          "tanh": 56},
         4.9667050578043135, 1.41138437614936),
     "lm_loss": (
-        {"add": 72, "concat": 5, "cross-entropy-from-logits": 4,
-         "elementwise-mul": 36, "embedding-lookup": 4, "matmul": 57, "scale": 9,
-         "sigmoid": 20, "tanh": 8},
+        {"add": 48, "concat": 3, "cross-entropy-from-logits": 1,
+         "elementwise-mul": 27, "embedding-lookup": 1, "matmul": 33, "scale": 9,
+         "sigmoid": 17, "slice": 24, "tanh": 8},
         2.486108994755765, 0.4629195400911051),
 }
 
