@@ -18,6 +18,7 @@ from .autodiff import ShapeError
 from .config import Config, ConfigError, config_from_dict, config_to_dict, validate
 from .data import Vocabulary
 from .embeddings import CHARS, ContextualProvider
+from .metrics import json_text
 from .models import DefinitionModel, assign_arrays
 
 FORMAT_VERSION = 1
@@ -30,10 +31,10 @@ class CheckpointError(Exception):
 
 
 def _write(path, meta: dict, arrays: dict) -> None:
-    """Write the JSON header, stamped with the format version, and the arrays
-    to a temp file next to ``path``, then move it over ``path``; on failure
-    the temp file is removed."""
-    header = json.dumps({**meta, "format_version": FORMAT_VERSION}, sort_keys=True)
+    """Write the strict JSON header, stamped with the format version, and the
+    arrays to a temp file next to ``path``, then move it over ``path``; on
+    failure the temp file is removed."""
+    header = json_text({**meta, "format_version": FORMAT_VERSION})
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:

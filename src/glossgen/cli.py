@@ -254,8 +254,12 @@ def cmd_train(args, cfg, argv) -> int:
     if args.pretrained:
         names = load_pretrained(args.pretrained, model)
         print(f"warm start: {len(names)} arrays from {args.pretrained}")
+    # an earlier run's checkpoint must not outlive a run that keeps no epoch
+    checkpoint_path = os.path.join(out_dir, "model.npz")
+    if os.path.exists(checkpoint_path):
+        os.remove(checkpoint_path)
     result = train(model, cfg, splits["train"], splits["valid"],
-                   checkpoint_path=os.path.join(out_dir, "model.npz"),
+                   checkpoint_path=checkpoint_path,
                    log_path=os.path.join(out_dir, "train_log.jsonl"),
                    extra_meta={"command": _clean_argv(argv)})
     _write_json(os.path.join(out_dir, "summary.json"), {
@@ -272,7 +276,7 @@ def cmd_train(args, cfg, argv) -> int:
     print(f"trained {result.epochs_run} epochs; best valid perplexity "
           f"{result.best_ppl:.4f} at epoch {result.best_epoch}")
     if result.best_epoch:  # an epoch was kept, so its checkpoint was written
-        print(f"checkpoint: {os.path.join(out_dir, 'model.npz')}")
+        print(f"checkpoint: {checkpoint_path}")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (AdamState, NumericalError, Tape, adam_step, backward,
-                       clip_global_norm, zero_grads)
+                       global_grad_norm, zero_grads)
 from .checkpoint import save_checkpoint, save_pretrained
 from .config import Config
 from .data import DictionaryEntry, find_target_occurrence, tokenize
@@ -53,19 +53,22 @@ def _fit(params, t, items, epochs: int, loss_of, where, log_path,
     ``loss_of(batch)`` builds the scalar loss on the active tape and
     ``where(epoch, step, batch)`` names the step in error messages. A
     non-finite loss or gradient norm aborts before Adam touches a parameter.
+    Gradients are zeroed once here; after that ``adam_step`` applies the clip
+    factor and zeroes each gradient in the same pass. Each step's log record
+    holds the pre-clip gradient norm and whether it was clipped.
     ``end_epoch(record)``, when given, adds fields to the epoch's record
     before it is logged and returns True to stop. Returns the epoch records.
     """
     adam = AdamState(lr=t.lr, beta1=t.beta1, beta2=t.beta2, eps=t.eps)
     history: list[dict] = []
     step = 0
+    zero_grads(params)
     with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
         for epoch in range(1, epochs + 1):
             rng = np.random.default_rng((t.seed, epoch))
             epoch_loss, epoch_batches = 0.0, 0
             for batch in _batches(items, t.batch_size, rng):
                 step += 1
-                zero_grads(params)
                 try:
                     with Tape() as tape:
                         loss = loss_of(batch)
@@ -73,15 +76,17 @@ def _fit(params, t, items, epochs: int, loss_of, where, log_path,
                 except NumericalError as exc:
                     raise TrainingError(
                         f"non-finite values at {where(epoch, step, batch)}: {exc}") from exc
-                norm = clip_global_norm(params, t.clip_norm)
+                norm = global_grad_norm(params)
                 if not np.isfinite(norm):
                     raise TrainingError(
                         f"non-finite gradient norm {norm} at {where(epoch, step, batch)}")
-                adam_step(params, adam)
+                clipped = norm > t.clip_norm
+                adam_step(params, adam, t.clip_norm / norm if clipped else 1.0)
                 loss_val = float(loss.data)
                 epoch_loss += loss_val
                 epoch_batches += 1
-                _log(log, {"epoch": epoch, "step": step, "loss": loss_val})
+                _log(log, {"epoch": epoch, "step": step, "loss": loss_val,
+                           "grad_norm": norm, "clipped": clipped})
             record = {"epoch": epoch, "mean_train_loss": epoch_loss / epoch_batches}
             stop = end_epoch is not None and end_epoch(record)
             history.append(record)

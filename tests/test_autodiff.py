@@ -21,6 +21,19 @@ def rand_param(rng, shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
 
 
+def reference_adam(data, grads, m, v, t, grad_scale, lr=1e-3, b1=0.9, b2=0.999,
+                   eps=1e-8):
+    """Whole-array Adam after clip scaling, one full pass per operation."""
+    for name in data:
+        g = grads[name] * grad_scale
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        data[name] -= lr * (m[name] / (1.0 - b1 ** t)) / (
+            np.sqrt(v[name] / (1.0 - b2 ** t)) + eps)
+
+
 class TestForward:
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
@@ -374,6 +387,38 @@ class TestAdam:
         state.v["p"] = np.zeros(3)
         with pytest.raises(ShapeError):
             adam_step({"p": p}, state)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("grad_scale", [1.0, 0.37])
+    def test_chunked_step_matches_whole_array_reference(self, monkeypatch, cpus,
+                                                        grad_scale):
+        # 3 full blocks plus a 5-element tail, and a parameter smaller than a
+        # block; 3 CPUs deal 5 blocks unevenly, 1 CPU runs them inline
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rng = np.random.default_rng(7)
+        params = {"big": rand_param(rng, (3 * ad.ADAM_CHUNK + 5,)),
+                  "small": rand_param(rng, (3,))}
+        data = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(d) for n, d in data.items()}
+        v = {n: np.zeros_like(d) for n, d in data.items()}
+        state = AdamState()
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
+            for n, p in params.items():
+                p.grad[...] = grads[n]
+            adam_step(params, state, grad_scale)
+            reference_adam(data, grads, m, v, t, grad_scale)
+            for n, p in params.items():
+                assert np.array_equal(p.data, data[n]), n
+                assert np.array_equal(state.m[n], m[n]), n
+                assert np.array_equal(state.v[n], v[n]), n
+                assert not p.grad.any(), n
+
+    def test_non_contiguous_parameter_rejected(self):
+        # a flat view of it would be a copy, and the update would be lost
+        p = Tensor(np.asfortranarray(np.ones((2, 3))), requires_grad=True)
+        with pytest.raises(AutodiffError, match="contiguous"):
+            adam_step({"p": p}, AdamState())
 
     def test_clip_global_norm(self):
         a = Tensor([3.0], requires_grad=True)

@@ -164,6 +164,21 @@ class TestTrain:
             for doc in text.splitlines() if name.endswith(".jsonl") else [text]:
                 json.loads(doc, parse_constant=reject)
         assert json.loads((out / "summary.json").read_text())["best_valid_ppl"] is None
+        if kept:
+            with np.load(out / "model.npz") as data:
+                header = json.loads(str(data[checkpoint.META_KEY]), parse_constant=reject)
+            assert header["valid_ppl"] is None
+            checkpoint.load_checkpoint(out / "model.npz")
+
+    def test_run_keeping_no_epoch_removes_earlier_checkpoint(self, cfg_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg_path, "--out-dir", str(out),
+                     "--override", "train.max_epochs=1"]) == 0
+        assert (out / "model.npz").exists()
+        assert main(["train", "--config", cfg_path, "--out-dir", str(out),
+                     "--override", "train.max_epochs=0"]) == 0
+        assert not (out / "model.npz").exists()
+        assert json.loads((out / "summary.json").read_text())["best_epoch"] == 0
 
     def test_missing_out_dir_is_user_error(self, capsys):
         assert main(["train"]) == 1

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import glossgen.training as training
+from glossgen.autodiff import Tape, backward, clip_global_norm, zero_grads
 from glossgen.checkpoint import CheckpointError, load_checkpoint, load_pretrained
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
 from glossgen.data import DictionaryEntry, Vocabulary
@@ -50,6 +53,40 @@ def build(seed=0, **kw):
     return DefinitionModel(micro_cfg(**kw), Vocabulary(WORDS), seed=seed)
 
 
+def lm_sentences(vocab):
+    return [vocab.encode(["the", w, "is", "here"]) for w in WORDS[:8]]
+
+
+def read_log(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def reference_fit(params, t, items, epochs, loss_of):
+    """The fit loop as three whole-array passes per step (zero, clip, Adam)
+    around backward; returns (m, v, per-step losses and pre-clip norms)."""
+    m = {n: np.zeros_like(p.data) for n, p in params.items()}
+    v = {n: np.zeros_like(p.data) for n, p in params.items()}
+    steps = []
+    for epoch in range(1, epochs + 1):
+        rng = np.random.default_rng((t.seed, epoch))
+        for batch in training._batches(items, t.batch_size, rng):
+            zero_grads(params)
+            with Tape() as tape:
+                loss = loss_of(batch)
+                backward(tape, loss)
+            norm = clip_global_norm(params, t.clip_norm)
+            bc1, bc2 = 1.0 - t.beta1 ** (len(steps) + 1), 1.0 - t.beta2 ** (len(steps) + 1)
+            for name, p in params.items():
+                g = p.grad
+                m[name] *= t.beta1
+                m[name] += (1.0 - t.beta1) * g
+                v[name] *= t.beta2
+                v[name] += (1.0 - t.beta2) * (g * g)
+                p.data -= t.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + t.eps)
+            steps.append((float(loss.data), norm))
+    return m, v, steps
+
+
 class TestValidationPpl:
     """Validation perplexity is ``metrics.perplexity`` pooled over all tasks."""
 
@@ -96,7 +133,6 @@ class TestTrainLoop:
         assert result.history[-1]["mean_train_loss"] < result.history[0]["mean_train_loss"]
 
     def test_first_logged_loss_is_plain_forward_nll(self, tmp_path):
-        import json
         cfg = full_cfg(max_epochs=1)
         entries = corpus()
         ref_model = build(seed=9)
@@ -197,16 +233,101 @@ class TestNonFiniteGradient:
         assert all(np.array_equal(t.data, before[n]) for n, t in model.params().items())
 
 
-class TestPretrain:
-    def sentences(self, vocab):
-        return [vocab.encode(["the", w, "is", "here"]) for w in WORDS[:8]]
+class TestOptimizerPass:
+    """``_fit`` zeroes gradients once and lets ``adam_step`` clip, update and
+    zero them in one pass; the result is bit-identical to separate passes."""
 
+    @pytest.fixture
+    def adam_states(self, monkeypatch):
+        states, real = [], training.AdamState
+
+        def recording(**kw):
+            states.append(real(**kw))
+            return states[-1]
+
+        monkeypatch.setattr(training, "AdamState", recording)
+        return states
+
+    @staticmethod
+    def assert_matches(params, state, steps, ref_params, ref):
+        m, v, ref_steps = ref
+        for name, p in params.items():
+            assert np.array_equal(p.data, ref_params[name].data), name
+            assert np.array_equal(state.m[name], m[name]), name
+            assert np.array_equal(state.v[name], v[name]), name
+        assert [(r["loss"], r["grad_norm"]) for r in steps] == ref_steps
+        assert all(r["clipped"] for r in steps)
+
+    @pytest.mark.parametrize("kind", ["single", "parallel", "hier-du", "hier-ud"])
+    def test_clipped_training_matches_separate_passes(self, tmp_path, adam_states, kind):
+        cfg = full_cfg(model_kw={"kind": kind}, max_epochs=2, clip_norm=1e-3)
+        items = corpus(with_usage=True)
+        model, ref_model = build(seed=3, kind=kind), build(seed=3, kind=kind)
+        log = tmp_path / "log.jsonl"
+        result = train(model, cfg, items, items[:4], log_path=log)
+        assert result.epochs_run == 2
+        steps = [r for r in read_log(log) if "step" in r]
+        ref = reference_fit(ref_model.params(), cfg.train, items, 2,
+                            lambda batch: ref_model.forward_batch(batch).loss)
+        self.assert_matches(model.params(), adam_states[0], steps,
+                            ref_model.params(), ref)
+
+    def test_clipped_pretraining_matches_separate_passes(self, tmp_path, adam_states):
+        cfg = full_cfg(pretrain_epochs=2, clip_norm=1e-3)
+        model, ref_model = build(seed=5), build(seed=5)
+        sentences = lm_sentences(model.vocab)
+        log = tmp_path / "pretrain.jsonl"
+        pretrain_decoder(model, cfg, sentences, log_path=log)
+        steps = [r for r in read_log(log) if "step" in r]
+        ref = reference_fit(ref_model.pretrainable_params(), cfg.train, sentences, 2,
+                            lambda batch: ref_model.lm_loss(batch)[0])
+        self.assert_matches(model.pretrainable_params(), adam_states[0], steps,
+                            ref_model.pretrainable_params(), ref)
+
+    def test_zero_gradient_step_is_a_fixed_point(self, tmp_path, monkeypatch):
+        # a zero norm never reaches the clip factor's division
+        model = build(seed=0)
+        real = training.backward
+
+        def backward_then_zero(tape, loss):
+            real(tape, loss)
+            zero_grads(model.params())
+
+        monkeypatch.setattr(training, "backward", backward_then_zero)
+        before = {n: t.data.copy() for n, t in model.params().items()}
+        log = tmp_path / "log.jsonl"
+        train(model, full_cfg(max_epochs=1, clip_norm=1e-3), corpus(), corpus()[:2],
+              log_path=log)
+        steps = [r for r in read_log(log) if "step" in r]
+        assert steps and all(r["grad_norm"] == 0.0 and not r["clipped"] for r in steps)
+        assert all(np.array_equal(t.data, before[n]) for n, t in model.params().items())
+
+    def test_one_adam_step_per_batch_and_one_zeroing_per_fit(self, monkeypatch):
+        # the benchmark ends a training step at each adam_step return
+        calls = {"adam_step": 0, "zero_grads": 0}
+        for name in calls:
+            real = getattr(training, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(training, name, counted)
+        model = build(seed=0)
+        train(model, full_cfg(max_epochs=2, batch_size=3), corpus(), corpus()[:2])
+        assert calls == {"adam_step": 2 * 3, "zero_grads": 1}
+        pretrain_decoder(model, full_cfg(pretrain_epochs=1, batch_size=5),
+                         lm_sentences(model.vocab))
+        assert calls == {"adam_step": 2 * 3 + 2, "zero_grads": 2}
+
+
+class TestPretrain:
     def test_zero_epochs_saves_initialization(self, tmp_path):
         model = build(seed=5)
         init = {n: t.data.copy() for n, t in model.pretrainable_params().items()}
         path = tmp_path / "pre.npz"
         history = pretrain_decoder(model, full_cfg(pretrain_epochs=0),
-                                   self.sentences(model.vocab), out_path=path)
+                                   lm_sentences(model.vocab), out_path=path)
         assert history == []
         fresh = build(seed=6)
         load_pretrained(path, fresh)
@@ -218,7 +339,7 @@ class TestPretrain:
         enc_before = model.params()["enc.fwd.W_z"].data.copy()
         attn_before = model.params()["attn.W_Q"].data.copy()
         dec_before = model.params()["def.gru0.W_z"].data.copy()
-        pretrain_decoder(model, full_cfg(pretrain_epochs=1), self.sentences(model.vocab))
+        pretrain_decoder(model, full_cfg(pretrain_epochs=1), lm_sentences(model.vocab))
         assert np.array_equal(model.params()["enc.fwd.W_z"].data, enc_before)
         assert np.array_equal(model.params()["attn.W_Q"].data, attn_before)
         assert not np.array_equal(model.params()["def.gru0.W_z"].data, dec_before)
@@ -226,7 +347,7 @@ class TestPretrain:
     def test_loss_decreases(self):
         model = build(seed=5)
         history = pretrain_decoder(model, full_cfg(pretrain_epochs=4, lr=5e-3),
-                                   self.sentences(model.vocab))
+                                   lm_sentences(model.vocab))
         assert history[-1]["mean_train_loss"] < history[0]["mean_train_loss"]
 
     def test_warm_start_transfers_language_model(self, tmp_path):
@@ -234,11 +355,11 @@ class TestPretrain:
         vocab = Vocabulary(WORDS)
         src = DefinitionModel(micro_cfg(), vocab, seed=5, pretrained_matrix=shared)
         path = tmp_path / "pre.npz"
-        pretrain_decoder(src, full_cfg(pretrain_epochs=2), self.sentences(vocab),
+        pretrain_decoder(src, full_cfg(pretrain_epochs=2), lm_sentences(vocab),
                          out_path=path)
         dst = DefinitionModel(micro_cfg(), vocab, seed=11, pretrained_matrix=shared)
         load_pretrained(path, dst)
-        seqs = self.sentences(vocab)[:3]
+        seqs = lm_sentences(vocab)[:3]
         _, src_total, _ = src.lm_loss(seqs)
         _, dst_total, _ = dst.lm_loss(seqs)
         assert src_total == pytest.approx(dst_total, rel=1e-12)
@@ -246,7 +367,7 @@ class TestPretrain:
     def test_width_mismatch_rejected_on_warm_start(self, tmp_path):
         src = build(seed=0)
         path = tmp_path / "pre.npz"
-        pretrain_decoder(src, full_cfg(pretrain_epochs=0), self.sentences(src.vocab),
+        pretrain_decoder(src, full_cfg(pretrain_epochs=0), lm_sentences(src.vocab),
                          out_path=path)
         wide = DefinitionModel(micro_cfg(d_s=12), Vocabulary(WORDS), seed=0)
         with pytest.raises(CheckpointError):
