@@ -3,8 +3,7 @@
 The primitive set is closed: higher layers (encoder, decoder, models) compose
 only the operations defined here, so the backward-rule surface stays bounded.
 Each primitive documents its shape rule; anything outside those rules is a
-ShapeError. All data is 64-bit by default (finite-difference checks need it);
-32-bit is available by passing an explicit dtype at leaf creation.
+ShapeError. All data is 64-bit (finite-difference checks need it).
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import expit
-
-DEFAULT_DTYPE = np.float64
 
 
 class AutodiffError(Exception):
@@ -39,8 +36,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.array(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.array(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
 
@@ -578,12 +575,9 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
                    for i in range(0, p.data.size, ADAM_CHUNK)]
 
     def update(share):
-        scratch = {}
+        scratch = np.empty((2, ADAM_CHUNK))
         for p, g, m, v in share:
-            if p.dtype not in scratch:
-                scratch[p.dtype] = (np.empty(ADAM_CHUNK, p.dtype),
-                                    np.empty(ADAM_CHUNK, p.dtype))
-            s1, s2 = (s[:p.size] for s in scratch[p.dtype])
+            s1, s2 = scratch[:, :p.size]
             np.multiply(g, grad_scale, out=s1)          # the clipped gradient
             m *= b1
             np.multiply(s1, 1.0 - b1, out=s2)

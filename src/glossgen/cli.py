@@ -16,9 +16,9 @@ from importlib import resources
 
 from .autodiff import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, load_pretrained
-from .config import (Config, ConfigError, apply_overrides, config_digest,
-                     config_to_text, default_config, load_config_file, set_key,
-                     validate)
+from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
+                     config_digest, config_to_text, default_config,
+                     load_config_file, set_key, validate)
 from .data import (CorpusError, Vocabulary, apply_split_manifest, build_vocab,
                    corpus_stats, load_corpus, load_stopwords,
                    partition_seen_unseen, split_by_sense, write_split_manifest)
@@ -338,7 +338,7 @@ def cmd_ablate(args, cfg, argv) -> int:
     rows = []
     for gate in (True, False):
         for feat_name, feat in ABLATION_FEATURES:
-            for s0 in ("zeros", "word", "context", "both"):
+            for s0 in S0_VARIANTS:
                 run_cfg = cfg
                 run_cfg = set_key(run_cfg, "model.gate_on", str(gate))
                 for key, value in feat.items():
@@ -466,38 +466,29 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    out_dir = None  # set once this command starts writing its run directory
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
         if args.out_dir is not None:
-            _prepare_out(args.out_dir, cfg, argv)
+            out_dir = args.out_dir
+            _prepare_out(out_dir, cfg, argv)
         handler = COMMANDS[(args.command, getattr(args, "data_command", None))]
         return handler(args, cfg, argv)
     except (CliError, *USER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _flag_partial(argv)
-        return 1
+        code = 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
-        _flag_partial(argv)
-        return 1
+        code = 1
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        _flag_partial(argv)
-        return 2
-
-
-def _flag_partial(argv: list[str]) -> None:
-    """Mark a run directory whose command died after creating artifacts."""
-    out_dir = None
-    for i, item in enumerate(argv):
-        if item == "--out-dir" and i + 1 < len(argv):
-            out_dir = argv[i + 1]
-        elif item.startswith("--out-dir="):
-            out_dir = item.split("=", 1)[1]
-    if out_dir and os.path.isdir(out_dir):
+        code = 2
+    if out_dir is not None and os.path.isdir(out_dir):
+        # the command died after touching its run directory: artifacts may be partial
         with open(os.path.join(out_dir, "FAILED"), "w", encoding="utf-8") as fh:
             fh.write("incomplete run; artifacts may be partial\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 MODEL_KINDS = ("single", "parallel", "hier-du", "hier-ud")
 MULTI_KINDS = ("parallel", "hier-du", "hier-ud")  # kinds that also decode usage
+S0_VARIANTS = ("zeros", "word", "context", "both")  # decoder initial-state sources
 
 
 class ConfigError(Exception):
@@ -143,7 +144,7 @@ def validate(cfg: Config) -> None:
             raise ConfigError(f"model.{name} must be positive")
     if m.kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {m.kind!r}")
-    if m.s0_variant not in ("zeros", "word", "context", "both"):
+    if m.s0_variant not in S0_VARIANTS:
         raise ConfigError(f"model.s0_variant {m.s0_variant!r} unknown")
     if not m.temperature > 0:
         raise ConfigError("model.temperature must be positive")

@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, concat, embedding_lookup, matmul, mul, sigmoid
+from .config import S0_VARIANTS
 from .embeddings import glorot
 from .encoder import GruCell
-
-S0_VARIANTS = ("zeros", "word", "context", "both")
 
 
 class DecoderEmbedding:
@@ -85,46 +84,26 @@ class InitStateProjector:
 class GatedInputBuilder:
     """Assemble x_t = g * [a*; y_prev; c*; e*] with g = sigma(u W_g).
 
-    Inactive components (char/contextual switched off) must not be supplied;
-    with the gate switched off, x_t is the raw concatenation and no W_g
-    parameter exists.
+    The step-constant ``features`` are [a*, c*, e*] holding only the active
+    components (char/contextual switched off are left out); with the gate
+    switched off, x_t is the raw concatenation and no W_g parameter exists.
     """
 
-    def __init__(self, rng: np.random.Generator, d_w: int, char_dim: int,
-                 contextual_dim: int, gate_on: bool, prefix: str):
-        self.d_w = d_w
-        self.char_dim = char_dim          # 0 when the char feature is off
-        self.contextual_dim = contextual_dim  # 0 when the contextual feature is off
+    def __init__(self, rng: np.random.Generator, dim: int, gate_on: bool, prefix: str):
+        self.dim = dim
         self.gate_on = gate_on
         self.prefix = prefix
-        self.dim = 2 * d_w + char_dim + contextual_dim
         self._params: dict[str, Tensor] = {}
         if gate_on:
-            self._params[f"{prefix}.W_g"] = Tensor(glorot(rng, (self.dim, self.dim)),
+            self._params[f"{prefix}.W_g"] = Tensor(glorot(rng, (dim, dim)),
                                                    requires_grad=True)
 
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def build(self, a_star: Tensor, y_prev: Tensor, c_star: Tensor | None = None,
-              e_star: Tensor | None = None) -> Tensor:
-        batch = y_prev.shape[0]
-        if a_star.shape != (batch, self.d_w):
-            raise ShapeError(f"gated input: a* must be ({batch}, {self.d_w}), got {a_star.shape}")
-        parts = [a_star, y_prev]
-        if self.char_dim:
-            if c_star is None:
-                raise ShapeError("gated input: char feature active but c* missing")
-            parts.append(c_star)
-        elif c_star is not None:
-            raise ShapeError("gated input: c* supplied while the char feature is off")
-        if self.contextual_dim:
-            if e_star is None:
-                raise ShapeError("gated input: contextual feature active but e* missing")
-            parts.append(e_star)
-        elif e_star is not None:
-            raise ShapeError("gated input: e* supplied while the contextual feature is off")
-        u = concat(parts, axis=1)
+    def build(self, features: list[Tensor], y_prev: Tensor) -> Tensor:
+        a_star, *rest = features
+        u = concat([a_star, y_prev, *rest], axis=1)
         if u.shape[1] != self.dim:
             raise ShapeError(f"gated input: assembled dim {u.shape[1]}, expected {self.dim}")
         if not self.gate_on:
@@ -158,24 +137,16 @@ class DecoderStack:
         return out
 
     def step(self, states: list[Tensor], x: Tensor) -> list[Tensor]:
-        """Advance every recurrent layer by one step; returns the new states."""
+        """Run every layer over the time-major rows of ``x`` (row t*B + b, B =
+        rows of each state), one layer at a time; returns each layer's states
+        in x's rows. With B rows of x that is one step: the next states."""
         if len(states) != self.n_layers:
             raise ShapeError(f"{self.prefix}: expected {self.n_layers} states, got {len(states)}")
-        new_states = []
-        inp = x
-        for cell, h in zip(self.cells, states):
-            inp = cell.step(h, inp)
-            new_states.append(inp)
-        return new_states
-
-    def run(self, states: list[Tensor], x: Tensor) -> Tensor:
-        """Teacher-forced pass over time-major rows of ``x`` (row t*B + b),
-        one layer at a time; returns the top layer's states in the same rows."""
-        if len(states) != self.n_layers:
-            raise ShapeError(f"{self.prefix}: expected {self.n_layers} states, got {len(states)}")
+        out = []
         for cell, h in zip(self.cells, states):
             x = cell.run(h, x)
-        return x
+            out.append(x)
+        return out
 
     def logits(self, h: Tensor) -> Tensor:
         """Project the top layer's state to vocabulary logits (batch, V)."""

@@ -28,7 +28,7 @@ class GruCell:
 
     A step is split in two: ``project`` computes the input halves x W + b,
     ``advance`` adds h U and applies the gates. ``run`` projects a whole
-    sequence at once and advances through it; ``step`` does one step.
+    sequence at once and advances through it.
     """
 
     def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int,
@@ -70,19 +70,19 @@ class GruCell:
         cand = tanh(add(xh, matmul(mul(r, h_prev), p[f"{pre}.U_h"])))
         return add(mul(one_minus(z), h_prev), mul(z, cand))
 
-    def step(self, h_prev: Tensor, x: Tensor) -> Tensor:
-        return self.advance(h_prev, self.project(x))
-
     def run(self, h0: Tensor, x: Tensor, reverse: bool = False) -> Tensor:
         """Run over a whole sequence given as time-major rows of x (row
         t*B + b is step t of sequence b, B = rows of h0). The inputs are
-        projected in one matmul per gate; returns the states in x's rows."""
+        projected in one matmul per gate; returns the states in x's rows.
+        A one-step call is ``advance(h0, project(x))``, with no row slicing."""
         batch = h0.shape[0]
         steps = x.shape[0] // batch
         if steps * batch != x.shape[0] or steps == 0:
             raise ShapeError(f"{self.prefix}: {x.shape[0]} input rows do not split "
                              f"into steps of {batch}")
         proj = self.project(x)
+        if steps == 1:
+            return self.advance(h0, proj)
         states: list[Tensor | None] = [None] * steps
         h = h0
         for t in (reversed(range(steps)) if reverse else range(steps)):

@@ -26,10 +26,14 @@ def _gru_param_count(input_dim: int, hidden_dim: int) -> int:
     return 3 * (input_dim * hidden_dim + hidden_dim * hidden_dim + hidden_dim)
 
 
+def feature_widths(cfg: ModelConfig) -> list[int]:
+    """Widths of the step-constant decoder features [a*, c*, e*] that are on."""
+    return ([cfg.d_w] + ([CHAR_FEATURE_DIM] if cfg.char_on else [])
+            + ([cfg.d_e] if cfg.contextual_on else []))
+
+
 def gated_input_dim(cfg: ModelConfig) -> int:
-    return (2 * cfg.d_w
-            + (CHAR_FEATURE_DIM if cfg.char_on else 0)
-            + (cfg.d_e if cfg.contextual_on else 0))
+    return cfg.d_w + sum(feature_widths(cfg))
 
 
 def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -> int:
@@ -136,16 +140,12 @@ class DefinitionModel:
                                             cfg.n_decoder_layers, cfg.s0_variant)
         g = gated_input_dim(cfg)
         self.input_dim = g
-        char_dim = CHAR_FEATURE_DIM if cfg.char_on else 0
-        ctx_dim = cfg.d_e if cfg.contextual_on else 0
-        self.def_gate = GatedInputBuilder(kids[7], cfg.d_w, char_dim, ctx_dim,
-                                          cfg.gate_on, "def.gate")
+        self.def_gate = GatedInputBuilder(kids[7], g, cfg.gate_on, "def.gate")
         self.def_stack = DecoderStack(kids[7], g, cfg.d_s, v,
                                       cfg.n_decoder_layers, "def")
         self.usg_gate = self.usg_stack = self.shortcut = None
         if cfg.kind in MULTI_KINDS:
-            self.usg_gate = GatedInputBuilder(kids[8], cfg.d_w, char_dim, ctx_dim,
-                                              cfg.gate_on, "usg.gate")
+            self.usg_gate = GatedInputBuilder(kids[8], g, cfg.gate_on, "usg.gate")
             self.usg_stack = DecoderStack(kids[8], g, cfg.d_s, v,
                                           cfg.n_decoder_layers, "usg")
             if cfg.kind in ("hier-du", "hier-ud"):
@@ -188,6 +188,8 @@ class DefinitionModel:
     # -- conditioning -------------------------------------------------------
 
     def _condition(self, entries):
+        """(features, s0, warnings) for a batch: ``features`` is [a*, c*, e*],
+        one row per entry, with c* and e* only when that feature is on."""
         rows_a, rows_v, rows_vc, rows_c, rows_e = [], [], [], [], []
         warnings = []
         for e in entries:
@@ -214,13 +216,10 @@ class DefinitionModel:
         def cat(rows):
             return rows[0] if len(rows) == 1 else concat(rows, axis=0)
 
-        a = cat(rows_a)
-        v_star_b = cat(rows_v)
-        v_c_b = cat(rows_vc)
-        c = cat(rows_c) if rows_c else None
-        e_star = cat(rows_e) if rows_e else None
+        a, v_star_b, v_c_b, *rest = [cat(rows) for rows in
+                                     (rows_a, rows_v, rows_vc, rows_c, rows_e) if rows]
         s0 = self.init_proj.init_state(v_star_b, v_c_b, batch=len(entries))
-        return a, c, e_star, s0, warnings
+        return [a, *rest], s0, warnings
 
     # -- decoding -----------------------------------------------------------
 
@@ -253,38 +252,32 @@ class DefinitionModel:
         return (self.def_stack if kind == "hier-du" else None,
                 self.usg_stack, self.usg_gate)
 
-    def _step(self, route, states, prev_ids, a, c, e_star):
-        """One sampling step; ``states`` is (lower states, upper states) and
-        the lower half is carried unchanged when the route has no lower stack.
-        Teacher forcing runs the same cells over whole sequences instead
-        (``_decode_loss``)."""
+    def _decode(self, route, states, ids, features):
+        """Run a route over time-major input ids (row t*B + b is entry b at
+        step t, B = rows of each feature); returns (states, logits).
+
+        ``states`` is (lower states, upper states); the lower half is carried
+        unchanged when the route has no lower stack. Each stack runs one layer
+        at a time, so each weight matrix sees one matmul over all rows, and
+        the returned states hold every row. Teacher forcing calls this once
+        over whole sequences; sampling calls it with one id per entry, which
+        makes the returned states the next step's."""
         lower, upper, gate = route
         low, up = states
-        x = gate.build(a, self.embedding.embed(prev_ids), c, e_star)
+        steps = len(ids) // features[0].shape[0]
+        if steps > 1:
+            features = [concat([f] * steps, axis=0) for f in features]
+        x = gate.build(features, self.embedding.embed(ids))
         if lower is not None:
             low = lower.step(low, x)
             x = matmul(concat([x, low[-1]], axis=1), self.shortcut)
         up = upper.step(up, x)
         return (low, up), upper.logits(up[-1])
 
-    def _decode_loss(self, route, s0, a, c, e_star, seqs):
-        """Teacher-forced NLL of ``seqs``: (token mean, total, token count).
-
-        Every input is known up front, so each stack runs one layer at a time
-        over all steps in time-major rows (row t*B + b is entry b at step t):
-        each weight matrix sees one matmul over B*T rows."""
-        lower, upper, gate = route
+    def _decode_loss(self, route, s0, features, seqs):
+        """Teacher-forced NLL of ``seqs``: (token mean, total, token count)."""
         inputs, golds, mask = self._teacher_arrays(seqs)
-        steps = inputs.shape[1]
-
-        def tile(v):
-            return None if v is None else concat([v] * steps, axis=0)
-
-        x = gate.build(tile(a), self.embedding.embed(inputs.T.reshape(-1)),
-                       tile(c), tile(e_star))
-        if lower is not None:
-            x = matmul(concat([x, lower.run(s0, x)], axis=1), self.shortcut)
-        logits = upper.logits(upper.run(s0, x))
+        _, logits = self._decode(route, (s0, s0), inputs.T.reshape(-1), features)
         ce = cross_entropy_from_logits(logits, golds.T.reshape(-1))
         total = sum_all(mul(ce, Tensor(mask.T.reshape(-1))))
         count = int(mask.sum())
@@ -306,7 +299,7 @@ class DefinitionModel:
                     raise ShapeError(
                         f"entry {e.entry_id}: model kind {self.cfg.kind} requires usage text")
             tasks.append("usage")
-        a, c, e_star, s0, warnings = self._condition(entries)
+        features, s0, warnings = self._condition(entries)
         # A task with a lower stack decodes last (hier-ud scores usage first):
         # the order fixes the tape, and with it the gradient summation order.
         tasks.sort(key=lambda task: self._route(task)[0] is not None)
@@ -314,7 +307,7 @@ class DefinitionModel:
         for task in tasks:
             seqs = [self.vocab.encode(e.definition if task == "definition" else e.usage)
                     for e in entries]
-            scored[task] = self._decode_loss(self._route(task), s0, a, c, e_star, seqs)
+            scored[task] = self._decode_loss(self._route(task), s0, features, seqs)
         d_mean, d_total, d_count = scored["definition"]
         if "usage" not in scored:
             return ForwardOutput(loss=d_mean, def_total_nll=d_total, def_tokens=d_count,
@@ -340,13 +333,10 @@ class DefinitionModel:
             raise ShapeError("lm_loss: empty sentence in batch")
         batch = len(seqs)
         m = self.cfg
-        a = Tensor(np.zeros((batch, m.d_w)))
-        c = Tensor(np.zeros((batch, CHAR_FEATURE_DIM))) if m.char_on else None
-        e_star = Tensor(np.zeros((batch, m.d_e))) if m.contextual_on else None
+        features = [Tensor(np.zeros((batch, w))) for w in feature_widths(m)]
         s0 = [Tensor(np.zeros((batch, m.d_s))) for _ in range(m.n_decoder_layers)]
         # The bare definition route for every kind: no lower stack underneath.
-        return self._decode_loss((None, self.def_stack, self.def_gate), s0, a, c,
-                                 e_star, seqs)
+        return self._decode_loss((None, self.def_stack, self.def_gate), s0, features, seqs)
 
     def pretrainable_params(self) -> dict[str, Tensor]:
         """Parameters that receive gradients in the zero-conditioned regime."""
@@ -363,11 +353,11 @@ class DefinitionModel:
         """Sample one sequence for the entry; returns (tokens, metadata)."""
         temperature = self.cfg.temperature if temperature is None else temperature
         max_len = self.cfg.max_gen_len if max_len is None else max_len
-        a, c, e_star, s0, warnings = self._condition([entry])
+        features, s0, warnings = self._condition([entry])
         route = self._route(task)
 
         def step(states, prev_id):
-            return self._step(route, states, [prev_id], a, c, e_star)
+            return self._decode(route, states, [prev_id], features)
 
         rng = np.random.default_rng(seed)
         ids = sample_sequence(step, (s0, s0), self.vocab.bos_id, self.vocab.eos_id,

@@ -115,6 +115,16 @@ class TestDataCommands:
         assert not (out / "FAILED").exists()
         assert (out / "run.json").exists() and (out / "config.txt").exists()
 
+    @pytest.mark.parametrize("args", [["--override", "model.d_w=abc"], ["--bogus"]],
+                             ids=["bad-value", "unknown-flag"])
+    def test_rejected_command_leaves_earlier_run_unmarked(self, tmp_path, capsys, args):
+        # rejected before it writes anything, so the good run beside it stays clean
+        out = tmp_path / "s"
+        assert main(["data", "split", "--out-dir", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["data", "split", "--out-dir", str(out)] + args) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestTrain:
     def test_artifacts_and_run_record(self, trained):

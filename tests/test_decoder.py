@@ -106,8 +106,8 @@ class TestInitState:
 
 class TestGatedInput:
     def make(self, char=16, ctx=8, gate=True, seed=0):
-        return GatedInputBuilder(np.random.default_rng(seed), d_w=4, char_dim=char,
-                                 contextual_dim=ctx, gate_on=gate, prefix="g")
+        return GatedInputBuilder(np.random.default_rng(seed), dim=8 + char + ctx,
+                                 gate_on=gate, prefix="g")
 
     def rows(self, rng, dims):
         return [Tensor(rng.normal(size=(1, d))) for d in dims]
@@ -117,42 +117,43 @@ class TestGatedInput:
         b._params["g.W_g"].data[...] = 0.0
         rng = np.random.default_rng(1)
         a, y, c, e = self.rows(rng, [4, 4, 16, 8])
-        x = b.build(a, y, c, e)
+        x = b.build([a, c, e], y)
         u = np.concatenate([a.data, y.data, c.data, e.data], axis=1)
         assert np.allclose(x.data, 0.5 * u)
 
     def test_zero_input_annihilates(self):
         b = self.make()
-        zeros = [Tensor(np.zeros((1, d))) for d in (4, 4, 16, 8)]
-        assert np.all(b.build(*zeros).data == 0)
+        a, y, c, e = [Tensor(np.zeros((1, d))) for d in (4, 4, 16, 8)]
+        assert np.all(b.build([a, c, e], y).data == 0)
 
     def test_mask_excluding_char_and_ctx(self):
         b = self.make(char=0, ctx=0)
         assert b.dim == 8
         rng = np.random.default_rng(2)
         a, y = self.rows(rng, [4, 4])
-        assert b.build(a, y).shape == (1, 8)
+        assert b.build([a], y).shape == (1, 8)
 
     def test_inactive_component_supplied_rejected(self):
+        # a char feature handed to a builder made without one fails the width check
         b = self.make(char=0, ctx=8)
         rng = np.random.default_rng(3)
         a, y, c, e = self.rows(rng, [4, 4, 16, 8])
-        with pytest.raises(ShapeError, match="char"):
-            b.build(a, y, c_star=c, e_star=e)
+        with pytest.raises(ShapeError, match="assembled dim 32, expected 16"):
+            b.build([a, c, e], y)
 
     def test_active_component_missing_rejected(self):
         b = self.make()
         rng = np.random.default_rng(4)
         a, y, c, e = self.rows(rng, [4, 4, 16, 8])
-        with pytest.raises(ShapeError, match="c\\* missing"):
-            b.build(a, y, None, e)
+        with pytest.raises(ShapeError, match="assembled dim 16, expected 32"):
+            b.build([a, e], y)
 
     def test_gate_off_identity_and_no_params(self):
         b = self.make(gate=False)
         assert b.params() == {}
         rng = np.random.default_rng(5)
         a, y, c, e = self.rows(rng, [4, 4, 16, 8])
-        x = b.build(a, y, c, e)
+        x = b.build([a, c, e], y)
         u = np.concatenate([t.data for t in (a, y, c, e)], axis=1)
         assert np.array_equal(x.data, u)
 
@@ -161,7 +162,7 @@ class TestGatedInput:
         rng = np.random.default_rng(6)
         a, y, c, e = self.rows(rng, [4, 4, 16, 8])
         u = np.concatenate([t.data for t in (a, y, c, e)], axis=1)
-        x = b.build(a, y, c, e)
+        x = b.build([a, c, e], y)
         g = x.data / np.where(u == 0, 1, u)
         assert np.all((g > 0) & (g < 1) | (u == 0))
 
@@ -257,7 +258,7 @@ class TestSequenceLogProb:
         states = ([zeros(8), zeros(8)], [zeros(8), zeros(8)])
         expected = 0.0
         for prev, gold in zip([model.vocab.bos_id] + seq, seq + [model.vocab.eos_id]):
-            states, logits = model._step(route, states, [prev], zeros(8), None, None)
+            states, logits = model._decode(route, states, [prev], [zeros(8)])
             z = logits.data[0]
             expected -= z[gold] - z.max() - np.log(np.exp(z - z.max()).sum())
         assert abs(total - expected) < 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glossgen import encoder as enc_mod
-from glossgen.autodiff import ShapeError, Tensor, grad_check, mul, sum_all
+from glossgen.autodiff import ShapeError, Tape, Tensor, grad_check, mul, sum_all
 from glossgen.encoder import ContextEncoder, GruCell, SenseAttention
 
 
@@ -17,28 +17,28 @@ class TestGruCell:
         cell = zeroed(GruCell(np.random.default_rng(0), 3, 4, "c"))
         h = Tensor([[1.0, -2.0, 0.5, 4.0]])
         x = Tensor([[0.0, 0.0, 0.0]])
-        out = cell.step(h, x)
+        out = cell.run(h, x)
         assert np.allclose(out.data, 0.5 * h.data)
 
     def test_zero_state_fixed_point(self):
         cell = zeroed(GruCell(np.random.default_rng(0), 3, 4, "c"))
-        out = cell.step(cell.zero_state(1), Tensor([[0.0, 0.0, 0.0]]))
+        out = cell.run(cell.zero_state(1), Tensor([[0.0, 0.0, 0.0]]))
         assert np.allclose(out.data, 0.0)
 
     def test_batched_step(self):
         cell = GruCell(np.random.default_rng(1), 3, 4, "c")
         h = Tensor(np.random.default_rng(2).normal(size=(5, 4)))
         x = Tensor(np.random.default_rng(3).normal(size=(5, 3)))
-        out = cell.step(h, x)
+        out = cell.run(h, x)
         assert out.shape == (5, 4)
         # row i of the batch equals a one-row step on row i
-        one = cell.step(Tensor(h.data[2:3]), Tensor(x.data[2:3]))
+        one = cell.run(Tensor(h.data[2:3]), Tensor(x.data[2:3]))
         assert np.allclose(out.data[2], one.data[0])
 
     def test_dimension_mismatch(self):
         cell = GruCell(np.random.default_rng(0), 3, 4, "c")
         with pytest.raises(ShapeError, match="c:"):
-            cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
+            cell.run(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(4)
@@ -48,10 +48,23 @@ class TestGruCell:
         point = [h, x] + list(cell.params().values())
 
         def f(h, x, *params):
-            out = cell.step(h, x)
+            out = cell.run(h, x)
             return sum_all(mul(out, out))
 
         assert grad_check(f, point) < 1e-6
+
+    def test_one_step_run_is_advance_of_project(self):
+        cell = GruCell(np.random.default_rng(5), 3, 4, "c")
+        h = Tensor(np.random.default_rng(6).normal(size=(2, 4)))
+        x = Tensor(np.random.default_rng(7).normal(size=(2, 3)))
+        with Tape() as run_tape:
+            out = cell.run(h, x)
+        with Tape() as ref_tape:
+            ref = cell.advance(h, cell.project(x))
+        assert np.array_equal(out.data, ref.data)
+        ops = [node.op for node in run_tape.nodes]
+        assert ops == [node.op for node in ref_tape.nodes]
+        assert "slice" not in ops and "concat" not in ops
 
     def test_param_count(self):
         cell = GruCell(np.random.default_rng(0), 5, 7, "c")
@@ -76,11 +89,11 @@ class TestContextEncoder:
         out = enc.encode([4, 5, 6])
         # forward half of row 0 equals a single forward step from zero state
         x0 = Tensor(enc.table.data[4:5])
-        f0 = enc.fwd.step(enc.fwd.zero_state(1), x0)
+        f0 = enc.fwd.run(enc.fwd.zero_state(1), x0)
         assert np.allclose(out.H.data[0, :5], f0.data[0])
         # backward half of the last row equals a single backward step
         x2 = Tensor(enc.table.data[6:7])
-        b2 = enc.bwd.step(enc.bwd.zero_state(1), x2)
+        b2 = enc.bwd.run(enc.bwd.zero_state(1), x2)
         assert np.allclose(out.H.data[2, 5:], b2.data[0])
 
     def test_pooling_is_dimensionwise_max(self):

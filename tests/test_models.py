@@ -48,21 +48,76 @@ def padded_batch():
 
 def stepwise_nll(model, entries, task):
     """Total NLL of the entries' gold sequences, recomputed one entry and one
-    ``_step`` at a time exactly as ``generate`` feeds its sampler."""
+    ``_decode`` step at a time exactly as ``generate`` feeds its sampler."""
     total, count = 0.0, 0
     for e in entries:
-        a, c, e_star, s0, _ = model._condition([e])
+        features, s0, _ = model._condition([e])
         route = model._route(task)
         gold = model.vocab.encode(e.definition if task == "definition" else e.usage)
         gold.append(model.vocab.eos_id)
         states, prev = (s0, s0), model.vocab.bos_id
         for g in gold:
-            states, logits = model._step(route, states, [prev], a, c, e_star)
+            states, logits = model._decode(route, states, [prev], features)
             z = logits.data[0]
             total -= z[g] - z.max() - np.log(np.exp(z - z.max()).sum())
             prev = g
         count += len(gold)
     return total, count
+
+
+# (kind, task, temperature) -> tokens sampled at seed 3 for pinned_entries(),
+# recorded before teacher forcing and sampling shared one decode pass
+PINNED_SAMPLES = {
+    ("single", "definition", 1.0):
+        ["<unk> check fire bird <unk> dog sun <bos>".split(),
+         "<unk> check fire bird <unk> dog sun".split()],
+    ("single", "definition", 0.05):
+        ["<unk> check wind tree <pad> <unk> <unk> <pad>".split(),
+         "<bos> walk wind tree <bos> dog sun".split()],
+    ("parallel", "definition", 1.0):
+        ["<unk> check fire bird <unk> dog sun <bos>".split(),
+         "<unk> check fire bird <unk> dog sun".split()],
+    ("parallel", "definition", 0.05):
+        ["<unk> check wind tree <pad> <unk> <unk> <pad>".split(),
+         "<bos> walk wind tree <bos> dog sun".split()],
+    ("parallel", "usage", 1.0):
+        ["<unk> check fire bird <unk> dog sun".split(),
+         "<unk> check fire bird <unk> dog sun".split()],
+    ("parallel", "usage", 0.05):
+        ["<unk> check moon bird <pad> dog sun <bos>".split(),
+         []],
+    ("hier-du", "definition", 1.0):
+        ["<unk> check fire bird <unk> dog sun <bos>".split(),
+         "<unk> check fire bird <unk> dog sun".split()],
+    ("hier-du", "definition", 0.05):
+        ["<unk> check wind tree <pad> <unk> <unk> <pad>".split(),
+         "<bos> walk wind tree <bos> dog sun".split()],
+    ("hier-du", "usage", 1.0):
+        ["<unk> check fire bird <bos> dog sun".split(),
+         "<unk> check fire bird <unk> dog sun".split()],
+    ("hier-du", "usage", 0.05):
+        ["<bos> run star fire".split(),
+         []],
+    ("hier-ud", "definition", 1.0):
+        ["<unk> check fire bird <unk> dog sun".split(),
+         "<unk> check fire bird <unk> dog sun".split()],
+    ("hier-ud", "definition", 0.05):
+        ["<bos> check wind sun <unk> walk walk <unk>".split(),
+         "<unk> check snow bird <pad> run walk <unk>".split()],
+    ("hier-ud", "usage", 1.0):
+        ["<unk> check fire bird <unk> dog sun".split(),
+         "<unk> check fire bird <unk> dog sun".split()],
+    ("hier-ud", "usage", 0.05):
+        ["<unk> check moon bird <pad> dog sun <bos>".split(),
+         []],
+}
+
+
+def pinned_entries():
+    """A usage entry and one whose context is the word alone."""
+    return [usage_entry(),
+            entry(word="dog", definition=["sun"], context=["dog"], usage=["dog", "runs"],
+                  eid="e2")]
 
 
 class TestParamCounts:
@@ -399,3 +454,14 @@ class TestGeneration:
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=20)
         tokens, _ = model.generate(entry(), temperature=5.0, seed=2, max_len=3)
         assert len(tokens) <= 3
+
+    @pytest.mark.parametrize("kind", ["single", "parallel", "hier-du", "hier-ud"])
+    def test_samples_pinned(self, kind):
+        cfg = micro_cfg(kind=kind, char_on=True, contextual_on=True)
+        model = DefinitionModel(cfg, make_vocab(), seed=22)
+        cases = {k: v for k, v in PINNED_SAMPLES.items() if k[0] == kind}
+        assert len(cases) == (2 if kind == "single" else 4)
+        for (_, task, temperature), expected in cases.items():
+            got = [model.generate(e, task=task, temperature=temperature, seed=3)[0]
+                   for e in pinned_entries()]
+            assert got == expected, (task, temperature)
