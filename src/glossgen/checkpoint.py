@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import ShapeError
 from .config import Config, ConfigError, config_from_dict, config_to_dict, validate
-from .data import Vocabulary
+from .data import SPECIALS, Vocabulary
 from .embeddings import CHARS, ContextualProvider
 from .metrics import json_text
 from .models import DefinitionModel, assign_arrays
@@ -73,16 +73,22 @@ HEADER_FIELDS = {"config": dict, "vocab_tokens": list, "vocab_fingerprint": str,
                  "seed": int, "contextual_kind": str, "contextual_seed": int}
 
 
-def _checked_header(path, meta: dict) -> Config:
-    """Check a checkpoint header before anything is built from it; returns
-    its validated config. Any fault is a CheckpointError naming the path."""
-    for key, kind in HEADER_FIELDS.items():
+def _check_fields(path, meta: dict, fields: dict) -> None:
+    """Each header field is present with its type (ints non-negative, bools
+    no ints); any fault is a CheckpointError naming the path and field."""
+    for key, kind in fields.items():
         value = meta.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise CheckpointError(f"{path}: header field {key!r} is missing or "
                                   f"not a {kind.__name__}")
         if kind is int and value < 0:
             raise CheckpointError(f"{path}: header field {key!r} is negative")
+
+
+def _checked_header(path, meta: dict) -> Config:
+    """Check a checkpoint header before anything is built from it; returns
+    its validated config. Any fault is a CheckpointError naming the path."""
+    _check_fields(path, meta, HEADER_FIELDS)
     if not all(isinstance(t, str) for t in meta["vocab_tokens"]):
         raise CheckpointError(f"{path}: header field 'vocab_tokens' holds a non-string")
     try:
@@ -117,7 +123,7 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     meta, arrays = _read(path)
     cfg = _checked_header(path, meta)
     tokens = meta["vocab_tokens"]
-    vocab = Vocabulary(tokens[4:])
+    vocab = Vocabulary(tokens[len(SPECIALS):])
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
     if contextual is None and meta["contextual_kind"] == "deterministic-test":
@@ -146,6 +152,7 @@ def save_pretrained(path, model, extra_meta: dict | None = None) -> None:
 def load_pretrained(path, model) -> list[str]:
     """Copy pretrained decoder arrays into a model; returns the copied names."""
     meta, arrays = _read(path, WARM_START)
+    _check_fields(path, meta, {"vocab_fingerprint": str})
     if meta["vocab_fingerprint"] != model.vocab.fingerprint():
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
     try:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 from .autodiff import ShapeError
@@ -19,7 +20,7 @@ from .checkpoint import CheckpointError, load_checkpoint, load_pretrained
 from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
                      config_digest, config_to_text, default_config,
                      load_config_file, set_key, validate)
-from .data import (CorpusError, Vocabulary, apply_split_manifest, build_vocab,
+from .data import (SPECIALS, CorpusError, Vocabulary, apply_split_manifest, build_vocab,
                    corpus_stats, load_corpus, load_stopwords,
                    partition_seen_unseen, split_by_sense, write_split_manifest)
 from .embeddings import (ContextualProvider, EmbeddingError,
@@ -89,30 +90,34 @@ def _write_json(path, payload) -> None:
         fh.write(json_text(payload, indent=2) + "\n")
 
 
-def _prepare_out(out_dir: str, cfg: Config, argv: list[str]) -> None:
+def _prepare_out(out_dir: str, cfg: Config, run: dict) -> None:
     """Create the run directory: clear a stale FAILED marker and record the
     run's command and resolved config."""
     os.makedirs(out_dir, exist_ok=True)
     marker = os.path.join(out_dir, "FAILED")
     if os.path.exists(marker):
         os.remove(marker)
-    _write_json(os.path.join(out_dir, "run.json"),
-                {"command": _clean_argv(argv), "config_digest": config_digest(cfg),
-                 "seed": cfg.train.seed})
+    _write_json(os.path.join(out_dir, "run.json"), {**run, "seed": cfg.train.seed})
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"# digest {config_digest(cfg)}\n")
+        fh.write(f"# digest {run['config_digest']}\n")
         fh.write(config_to_text(cfg))
 
 
-def _out_dir(args) -> str:
-    if args.out_dir is None:
-        raise CliError(f"{args.command}: --out-dir is required")
-    return args.out_dir
-
-
-def _artifact_header(cfg: Config, argv: list[str]) -> list[str]:
-    return [f"# config {config_digest(cfg)}",
-            f"# command {' '.join(_clean_argv(argv))}"]
+def _write_report(out_dir: str | None, name: str, run: dict, body: str,
+                  json_lines: list[str] | None = None) -> str:
+    """Head ``body`` with the run's config digest and command, write it to
+    <name>.txt when there is an out-dir, and return it. JSON lines also go
+    to <name>.jsonl, after the run record."""
+    text = (f"# config {run['config_digest']}\n"
+            f"# command {' '.join(run['command'])}\n" + body)
+    if out_dir:
+        with open(os.path.join(out_dir, f"{name}.txt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if json_lines is not None:
+            with open(os.path.join(out_dir, f"{name}.jsonl"), "w",
+                      encoding="utf-8") as fh:
+                fh.write("\n".join([json_text(run)] + json_lines) + "\n")
+    return text
 
 
 def _load_entries(cfg: Config):
@@ -158,7 +163,7 @@ def _splits(entries, cfg: Config, manifest: str | None) -> dict:
 
 # -- subcommands -------------------------------------------------------------
 
-def cmd_data_validate(args, cfg, argv) -> int:
+def cmd_data_validate(args, cfg, run) -> int:
     entries, report = _load_entries(cfg)
     print(f"lines {report.total_lines}  loaded {report.loaded}  "
           f"malformed {report.n_malformed}")
@@ -171,11 +176,10 @@ def cmd_data_validate(args, cfg, argv) -> int:
     return 0
 
 
-def cmd_data_split(args, cfg, argv) -> int:
-    out_dir = _out_dir(args)
+def cmd_data_split(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     splits = _splits(entries, cfg, None)
-    path = os.path.join(out_dir, "split_manifest.json")
+    path = os.path.join(args.out_dir, "split_manifest.json")
     write_split_manifest(splits, path)
     for name in ("train", "valid", "test"):
         print(f"{name}: {len(splits[name])} entries")
@@ -183,32 +187,24 @@ def cmd_data_split(args, cfg, argv) -> int:
     return 0
 
 
-def cmd_data_stats(args, cfg, argv) -> int:
+def cmd_data_stats(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
-    if args.manifest:
-        splits = apply_split_manifest(entries, args.manifest)
-    else:
-        splits = {"all": entries}
+    splits = (apply_split_manifest(entries, args.manifest) if args.manifest
+              else {"all": entries})
     table = corpus_stats(splits)
-    lines = _artifact_header(cfg, argv)
-    header = (f"{'split':<8} {'words':>7} {'entries':>8} {'tokens':>8} "
-              f"{'def-len':>8} {'ctx-len':>8} {'usg-len':>8}")
-    lines.append(header)
+    lines = [f"{'split':<8} {'words':>7} {'entries':>8} {'tokens':>8} "
+             f"{'def-len':>8} {'ctx-len':>8} {'usg-len':>8}"]
     for name, row in table.items():
         lines.append(f"{name:<8} {row['words']:>7} {row['entries']:>8} "
                      f"{row['tokens']:>8} {row['avg_definition_len']:>8.2f} "
                      f"{row['avg_context_len']:>8.2f} {row['avg_usage_len']:>8.2f}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
+    print(_write_report(args.out_dir, "stats", run, "\n".join(lines) + "\n"), end="")
     if args.out_dir:
-        with open(os.path.join(args.out_dir, "stats.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
         _write_json(os.path.join(args.out_dir, "stats.json"), table)
     return 0
 
 
-def cmd_data_vocab(args, cfg, argv) -> int:
+def cmd_data_vocab(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     stopwords = None
     if args.stopwords:
@@ -216,7 +212,7 @@ def cmd_data_vocab(args, cfg, argv) -> int:
                 else args.stopwords)
         stopwords = load_stopwords(path)
     vocab = _vocab(entries, cfg, stopwords)
-    print(f"vocabulary size {len(vocab)} (4 specials)  "
+    print(f"vocabulary size {len(vocab)} ({len(SPECIALS)} specials)  "
           f"fingerprint {vocab.fingerprint()[:12]}")
     if args.out_dir:
         path = os.path.join(args.out_dir, "vocab.txt")
@@ -225,8 +221,8 @@ def cmd_data_vocab(args, cfg, argv) -> int:
     return 0
 
 
-def cmd_pretrain(args, cfg, argv) -> int:
-    out_dir = _out_dir(args)
+def cmd_pretrain(args, cfg, run) -> int:
+    out_dir = args.out_dir
     entries, _ = _load_entries(cfg)
     vocab = _vocab(entries, cfg)
     lm_path = resolve_data_path(cfg.data.lm_corpus, "lm_corpus.txt")
@@ -242,8 +238,8 @@ def cmd_pretrain(args, cfg, argv) -> int:
     return 0
 
 
-def cmd_train(args, cfg, argv) -> int:
-    out_dir = _out_dir(args)
+def cmd_train(args, cfg, run) -> int:
+    out_dir = args.out_dir
     entries, _ = _load_entries(cfg)
     vocab = _vocab(entries, cfg)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
@@ -261,10 +257,9 @@ def cmd_train(args, cfg, argv) -> int:
     result = train(model, cfg, splits["train"], splits["valid"],
                    checkpoint_path=checkpoint_path,
                    log_path=os.path.join(out_dir, "train_log.jsonl"),
-                   extra_meta={"command": _clean_argv(argv)})
+                   extra_meta={"command": run["command"]})
     _write_json(os.path.join(out_dir, "summary.json"), {
-        "config_digest": config_digest(cfg),
-        "command": _clean_argv(argv),
+        **run,
         "vocab_fingerprint": vocab.fingerprint(),
         "n_train": len(splits["train"]),
         "n_valid": len(splits["valid"]),
@@ -280,7 +275,7 @@ def cmd_train(args, cfg, argv) -> int:
     return 0
 
 
-def cmd_eval(args, cfg, argv) -> int:
+def cmd_eval(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     model, _, meta = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
     vocab = _vocab(entries, cfg)
@@ -289,28 +284,16 @@ def cmd_eval(args, cfg, argv) -> int:
             f"{args.checkpoint}: checkpoint vocabulary does not match this corpus "
             f"(fingerprints {meta['vocab_fingerprint'][:12]} vs "
             f"{vocab.fingerprint()[:12]})")
-    if args.manifest:
-        splits = apply_split_manifest(entries, args.manifest)
-        train_set, test_set = splits["train"], splits["test"]
-    else:
-        train_set, test_set = [], entries
-    labeled = partition_seen_unseen(train_set, test_set)
+    splits = (apply_split_manifest(entries, args.manifest) if args.manifest
+              else {"train": [], "test": entries})
+    labeled = partition_seen_unseen(splits["train"], splits["test"])
     report = evaluate(model, labeled, seed=cfg.train.seed)
-    text = "\n".join(_artifact_header(cfg, argv)) + "\n" + format_report(report)
-    print(text, end="")
-    if args.out_dir:
-        with open(os.path.join(args.out_dir, "report.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
-        with open(os.path.join(args.out_dir, "report.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(json_text({"config_digest": config_digest(cfg),
-                                "command": _clean_argv(argv)}) + "\n")
-            fh.write("\n".join(report_lines(report)) + "\n")
+    print(_write_report(args.out_dir, "report", run, format_report(report),
+                        report_lines(report)), end="")
     return 0
 
 
-def cmd_generate(args, cfg, argv) -> int:
+def cmd_generate(args, cfg, run) -> int:
     if args.temperature is not None and not args.temperature > 0:
         raise CliError(f"--temperature must be positive, got {args.temperature}")
     model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
@@ -331,20 +314,16 @@ ABLATION_FEATURES = (("base", {"char_on": False, "contextual_on": False}),
                      ("+ctx+char", {"char_on": True, "contextual_on": True}))
 
 
-def cmd_ablate(args, cfg, argv) -> int:
-    out_dir = _out_dir(args)
+def cmd_ablate(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     vocab = _vocab(entries, cfg)
+    base = replace(cfg, train=replace(cfg.train, max_epochs=args.epochs))
     rows = []
     for gate in (True, False):
         for feat_name, feat in ABLATION_FEATURES:
             for s0 in S0_VARIANTS:
-                run_cfg = cfg
-                run_cfg = set_key(run_cfg, "model.gate_on", str(gate))
-                for key, value in feat.items():
-                    run_cfg = set_key(run_cfg, f"model.{key}", str(value))
-                run_cfg = set_key(run_cfg, "model.s0_variant", s0)
-                run_cfg = set_key(run_cfg, "train.max_epochs", str(args.epochs))
+                run_cfg = replace(base, model=replace(cfg.model, gate_on=gate,
+                                                      s0_variant=s0, **feat))
                 model = _build_model(run_cfg, vocab)
                 actual = sum(t.size for t in model.params().values())
                 expected = expected_param_count(run_cfg.model, len(vocab))
@@ -353,77 +332,81 @@ def cmd_ablate(args, cfg, argv) -> int:
                         f"parameter count mismatch for gate={gate} {feat_name} "
                         f"s0={s0}: built {actual}, formula {expected}")
                 result = train(model, run_cfg, entries, entries)
-                rows.append({
-                    "gate": "on" if gate else "off",
-                    "features": feat_name,
-                    "s0": s0,
-                    "params": actual,
-                    "train_loss": result.history[-1]["mean_train_loss"],
-                    "valid_ppl": result.history[-1]["valid_ppl"],
-                })
-                print(f"gate={rows[-1]['gate']:<3} features={feat_name:<9} "
-                      f"s0={s0:<7} params={actual:>8} "
-                      f"loss={rows[-1]['train_loss']:.4f} "
-                      f"ppl={rows[-1]['valid_ppl']:.4f}")
-    lines = _artifact_header(cfg, argv)
-    lines.append(f"{'gate':<5} {'features':<10} {'s0':<8} {'params':>9} "
-                 f"{'train-loss':>11} {'valid-ppl':>10}")
+                last = result.history[-1]
+                row = {"gate": "on" if gate else "off", "features": feat_name, "s0": s0,
+                       "params": actual, "train_loss": last["mean_train_loss"],
+                       "valid_ppl": last["valid_ppl"]}
+                rows.append(row)
+                print(f"gate={row['gate']:<3} features={feat_name:<9} s0={s0:<7} "
+                      f"params={actual:>8} loss={row['train_loss']:.4f} "
+                      f"ppl={row['valid_ppl']:.4f}")
+    lines = [f"{'gate':<5} {'features':<10} {'s0':<8} {'params':>9} "
+             f"{'train-loss':>11} {'valid-ppl':>10}"]
     for r in rows:
         lines.append(f"{r['gate']:<5} {r['features']:<10} {r['s0']:<8} "
                      f"{r['params']:>9} {r['train_loss']:>11.4f} "
                      f"{r['valid_ppl']:>10.4f}")
-    with open(os.path.join(out_dir, "ablation.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "ablation.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(json_text({"config_digest": config_digest(cfg),
-                            "command": _clean_argv(argv)}) + "\n")
-        for r in rows:
-            fh.write(json_text(r) + "\n")
-    print(f"table: {os.path.join(out_dir, 'ablation.txt')}")
+    _write_report(args.out_dir, "ablation", run, "\n".join(lines) + "\n",
+                  [json_text(r) for r in rows])
+    print(f"table: {os.path.join(args.out_dir, 'ablation.txt')}")
     return 0
 
 
 # -- wiring ------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="glossgen",
-                     description="Context-aware definition and usage generation.")
+def _epochs(text: str) -> int:
+    """Checked while parsing, so a rejected value leaves no FAILED marker."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _common(out_dir_required: bool) -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="path to a section.key = value file")
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="config override, repeatable")
     common.add_argument("--seed", type=int, help="sets train.seed")
-    common.add_argument("--out-dir", help="directory for run artifacts")
+    common.add_argument("--out-dir", required=out_dir_required,
+                        help="directory for run artifacts")
+    return common
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="glossgen",
+                     description="Context-aware definition and usage generation.")
+    optional_out, required_out = _common(False), _common(True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_data = sub.add_parser("data", help="corpus utilities")
     data_sub = p_data.add_subparsers(dest="data_command", required=True)
-    data_sub.add_parser("validate", parents=[common],
+    data_sub.add_parser("validate", parents=[optional_out],
                         help="parse the corpus and print a validation report")
-    data_sub.add_parser("split", parents=[common],
+    data_sub.add_parser("split", parents=[required_out],
                         help="write a sense-disjoint train/valid/test manifest")
-    p_stats = data_sub.add_parser("stats", parents=[common],
+    p_stats = data_sub.add_parser("stats", parents=[optional_out],
                                   help="per-split corpus statistics")
     p_stats.add_argument("--manifest", help="split manifest to group by")
-    p_vocab = data_sub.add_parser("vocab", parents=[common],
+    p_vocab = data_sub.add_parser("vocab", parents=[optional_out],
                                   help="build and save the token vocabulary")
     p_vocab.add_argument("--stopwords",
                          help="stopword file to filter with, or 'bundled'")
 
-    sub.add_parser("pretrain", parents=[common],
+    sub.add_parser("pretrain", parents=[required_out],
                    help="language-model pretraining of the decoder branch")
 
-    p_train = sub.add_parser("train", parents=[common], help="fit a model")
+    p_train = sub.add_parser("train", parents=[required_out], help="fit a model")
     p_train.add_argument("--pretrained", help="warm-start file from 'pretrain'")
     p_train.add_argument("--manifest", help="reuse an existing split manifest")
 
-    p_eval = sub.add_parser("eval", parents=[common],
+    p_eval = sub.add_parser("eval", parents=[optional_out],
                             help="score a checkpoint on the test split")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", help="split manifest; omitted = whole corpus")
 
-    p_gen = sub.add_parser("generate", parents=[common],
+    p_gen = sub.add_parser("generate", parents=[optional_out],
                            help="define a word as used in the given context")
     p_gen.add_argument("--checkpoint", required=True)
     p_gen.add_argument("--word", required=True)
@@ -433,10 +416,10 @@ def build_parser() -> _Parser:
                        default="definition")
     p_gen.add_argument("--temperature", type=float)
 
-    p_abl = sub.add_parser("ablate", parents=[common],
+    p_abl = sub.add_parser("ablate", parents=[required_out],
                            help="train every switch combination and tabulate")
-    p_abl.add_argument("--epochs", type=int, default=1,
-                       help="epochs per combination (default 1)")
+    p_abl.add_argument("--epochs", type=_epochs, default=1,
+                       help="epochs per combination, at least 1 (default 1)")
 
     return parser
 
@@ -470,11 +453,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
+        run = {"command": _clean_argv(argv), "config_digest": config_digest(cfg)}
         if args.out_dir is not None:
             out_dir = args.out_dir
-            _prepare_out(out_dir, cfg, argv)
+            _prepare_out(out_dir, cfg, run)
         handler = COMMANDS[(args.command, getattr(args, "data_command", None))]
-        return handler(args, cfg, argv)
+        return handler(args, cfg, run)
     except (CliError, *USER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

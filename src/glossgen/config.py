@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
+from .data import SPECIALS
+
 MODEL_KINDS = ("single", "parallel", "hier-du", "hier-ud")
 MULTI_KINDS = ("parallel", "hier-du", "hier-ud")  # kinds that also decode usage
 S0_VARIANTS = ("zeros", "word", "context", "both")  # decoder initial-state sources
@@ -159,8 +161,8 @@ def validate(cfg: Config) -> None:
         if not 0 < getattr(t, name) < math.inf:
             raise ConfigError(f"train.{name} must be positive and finite")
     d = cfg.data
-    if not d.vocab_size >= 4:
-        raise ConfigError("data.vocab_size must be at least 4")
+    if not d.vocab_size >= len(SPECIALS):
+        raise ConfigError(f"data.vocab_size must be at least {len(SPECIALS)}")
     for name in ("corpus", "lm_corpus", "embeddings_file", "contextual_file"):
         if "\x00" in getattr(d, name):
             raise ConfigError(f"data.{name} contains a NUL byte")

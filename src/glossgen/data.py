@@ -110,9 +110,11 @@ def _parse_entry(record: dict) -> DictionaryEntry:
 def load_corpus(path) -> tuple[list[DictionaryEntry], ValidationReport]:
     """Parse a line-delimited corpus file; skip and report malformed lines.
 
-    Raises CorpusError when more than half of the non-blank lines fail.
+    A repeated entry id is malformed; the first entry with it is kept. Raises
+    CorpusError when more than half of the non-blank lines fail.
     """
     entries: list[DictionaryEntry] = []
+    first_line: dict[str, int] = {}  # entry id -> line it was loaded from
     report = ValidationReport()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -124,9 +126,13 @@ def load_corpus(path) -> tuple[list[DictionaryEntry], ValidationReport]:
                 if not isinstance(record, dict):
                     raise ValueError("record is not an object")
                 entry = _parse_entry(record)
+                if entry.entry_id in first_line:
+                    raise ValueError(f"id {entry.entry_id!r} repeats line "
+                                     f"{first_line[entry.entry_id]}")
             except (json.JSONDecodeError, ValueError) as exc:
                 report.malformed.append((line_no, str(exc)))
                 continue
+            first_line[entry.entry_id] = line_no
             report.loaded += 1
             report.absent_context_targets += sum(
                 1 for idx in entry.context_target_indices if idx is None)
@@ -178,19 +184,19 @@ def load_stopwords(path) -> set[str]:
 
 
 def build_vocab(token_stream, k: int, stopwords: set[str] | None = None) -> Vocabulary:
-    """Frequency-ranked top k-4 tokens, ties lexicographic, specials prepended.
+    """Up to k tokens: the specials, then the most frequent, ties lexicographic.
 
     Non-alphabetic tokens and stopwords are filtered before ranking.
     """
-    if k < 4:
-        raise CorpusError(f"vocabulary size {k} leaves no room for the 4 specials")
+    if k < len(SPECIALS):
+        raise CorpusError(f"vocabulary size {k} leaves no room for the {len(SPECIALS)} specials")
     stopwords = stopwords or set()
     counts = Counter(
         t for t in token_stream if t.isalpha() and t not in stopwords)
     if not counts:
         raise CorpusError("no tokens survive vocabulary filtering")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [t for t, _ in ranked[: k - 4]]
+    kept = [t for t, _ in ranked[: k - len(SPECIALS)]]
     return Vocabulary(kept)
 
 

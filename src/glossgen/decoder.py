@@ -11,18 +11,19 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, concat, embedding_lookup, matmul, mul, sigmoid
 from .config import S0_VARIANTS
+from .data import SPECIALS
 from .embeddings import glorot
 from .encoder import GruCell
 
 
 class DecoderEmbedding:
-    """Previous-token embeddings: a frozen pretrained table whose four special
-    rows (pad/unk/bos/eos) are replaced by a small trainable table."""
+    """Previous-token embeddings: a frozen pretrained table whose special rows
+    (pad/unk/bos/eos) are replaced by a small trainable table."""
 
     def __init__(self, frozen_matrix: np.ndarray, rng: np.random.Generator):
         self.frozen = Tensor(frozen_matrix)  # no grad, never updated
         self.dim = frozen_matrix.shape[1]
-        self.specials = Tensor(rng.uniform(-0.1, 0.1, size=(4, self.dim)),
+        self.specials = Tensor(rng.uniform(-0.1, 0.1, size=(len(SPECIALS), self.dim)),
                                requires_grad=True)
 
     def params(self) -> dict[str, Tensor]:
@@ -30,9 +31,9 @@ class DecoderEmbedding:
 
     def embed(self, ids) -> Tensor:
         ids = np.asarray(ids, dtype=np.intp)
-        is_special = ids < 4
+        is_special = ids < len(SPECIALS)
         base = embedding_lookup(self.frozen, ids)
-        spec = embedding_lookup(self.specials, np.minimum(ids, 3))
+        spec = embedding_lookup(self.specials, np.minimum(ids, len(SPECIALS) - 1))
         keep = Tensor(np.repeat((~is_special).astype(float)[:, None], self.dim, axis=1))
         swap = Tensor(np.repeat(is_special.astype(float)[:, None], self.dim, axis=1))
         return add(mul(base, keep), mul(spec, swap))

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 
 from .autodiff import Tensor, add, concat, conv1d, embedding_lookup, matmul, max_over_axis, mul, one_minus, sigmoid, tanh
+from .data import SPECIALS
 
 CHAR_EMB_DIM = 20
 CONV_WIDTHS = (2, 3, 4, 5, 6)
@@ -85,11 +86,11 @@ def load_word_embeddings(path, vocab, seed: int, dim: int | None = None):
     for i, token in enumerate(vocab.id_to_token):
         if token in vectors:
             matrix[i] = vectors[token]
-            if i >= 4:
+            if i >= len(SPECIALS):
                 found += 1
         elif i != vocab.pad_id:
             matrix[i] = rng.uniform(-0.1, 0.1, size=file_dim)
-    n_real = len(vocab) - 4
+    n_real = len(vocab) - len(SPECIALS)
     coverage = found / n_real if n_real else 1.0
     return matrix, coverage
 

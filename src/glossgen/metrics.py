@@ -106,19 +106,16 @@ def perplexity(model, entries, task: str = "definition", batch_size: int = 16) -
     entries = list(entries)
     if not entries:
         raise MetricsError("perplexity: empty corpus")
-    if task not in ("definition", "usage", "all"):
+    if task not in ("definition", "all"):
         raise MetricsError(f"perplexity: unknown task {task!r}")
     total, count = 0.0, 0
     for i in range(0, len(entries), batch_size):
         out = model.forward_batch(entries[i:i + batch_size])
-        if task != "usage":
-            total += out.def_total_nll
-            count += out.def_tokens
-        if task != "definition" and out.usg_total_nll is not None:
+        total += out.def_total_nll
+        count += out.def_tokens
+        if task == "all" and out.usg_total_nll is not None:
             total += out.usg_total_nll
             count += out.usg_tokens
-        elif task == "usage":
-            raise MetricsError("perplexity: model does not score the usage task")
     return float(np.exp(total / count))
 
 
@@ -147,12 +144,12 @@ def _entry_seed(run_seed: int, entry_id: str) -> int:
 
 
 def evaluate(model, labeled_entries, temperature: float | None = None, seed: int = 0,
-             max_len: int | None = None, batch_size: int = 16) -> EvalReport:
+             max_len: int | None = None) -> EvalReport:
     """Generate one hypothesis per entry and score against the gold definition.
 
     ``labeled_entries`` is the data module's Seen/Unseen labeling of the test
     set. Per-entry generation seeds derive from (seed, entry id), so the
-    report is independent of entry order and batch size.
+    report is independent of entry order.
     """
     labeled_entries = list(labeled_entries)
     if not labeled_entries:
@@ -186,8 +183,7 @@ def evaluate(model, labeled_entries, temperature: float | None = None, seed: int
                                rouge=float(np.mean([p[1] for p in pairs])))
 
     all_pairs = buckets["seen"] + buckets["unseen"]
-    ppl = perplexity(model, [e for e, _ in labeled_entries], task="definition",
-                     batch_size=batch_size)
+    ppl = perplexity(model, [e for e, _ in labeled_entries], task="definition")
     return EvalReport(
         entries=len(labeled_entries),
         bleu=scores(all_pairs).bleu,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, sum_all
 from .config import MULTI_KINDS, ModelConfig
-from .data import Vocabulary
+from .data import SPECIALS, Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, GatedInputBuilder, InitStateProjector, sample_sequence
 from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot
 from .encoder import ContextEncoder, SenseAttention
@@ -40,7 +40,7 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
     """Closed-form trainable parameter count; must match the built model.
 
     Shared stack: encoder table V*d_w, two encoder GRUs, four attention
-    projections, optional char encoder, 4*d_w special embedding rows, and the
+    projections, optional char encoder, a d_w row per special token, and the
     initial-state projection unless the zeros variant. Each decoder adds an
     optional gate (G^2), its GRU layers, and the output projection; the
     hierarchical kinds add the (G+d_s) x G shortcut matrix.
@@ -55,7 +55,7 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
         char += CHAR_FEATURE_DIM
         char += HIGHWAY_LAYERS * 2 * (CHAR_FEATURE_DIM ** 2 + CHAR_FEATURE_DIM)
         total += char
-    total += 4 * d_w
+    total += len(SPECIALS) * d_w
     if cfg.s0_variant != "zeros":
         total += (d_w + 2 * d_h) * d_s + d_s
     g = gated_input_dim(cfg)

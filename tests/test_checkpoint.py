@@ -200,6 +200,17 @@ class TestPretrained:
         with pytest.raises(CheckpointError, match="fingerprint"):
             load_pretrained(path, dst)
 
+    @pytest.mark.parametrize("fields", [{}, {"vocab_fingerprint": None},
+                                        {"vocab_fingerprint": 5}])
+    def test_header_without_fingerprint_rejected(self, tmp_path, fields):
+        path = tmp_path / "pre.npz"
+        meta = {"kind": "pretrained-decoder", "format_version": FORMAT_VERSION, **fields}
+        with open(path, "wb") as fh:
+            np.savez(fh, **{META_KEY: np.array(json.dumps(meta))})
+        with pytest.raises(CheckpointError) as info:
+            load_pretrained(path, build())
+        assert str(path) in str(info.value) and "'vocab_fingerprint'" in str(info.value)
+
     def test_full_checkpoint_is_not_a_pretrained_file(self, tmp_path):
         model = build()
         path = tmp_path / "m.npz"

@@ -262,6 +262,30 @@ class TestEvalAndGenerate:
         first = json.loads((out / "report.jsonl").read_text().splitlines()[0])
         assert "config_digest" in first and "--out-dir" not in first["command"]
 
+    def test_run_record_matches_everywhere(self, trained, tmp_path, capsys):
+        out = tmp_path / "ev"
+        argv = ["eval", "--config", trained["cfg"], "--seed", "0",
+                "--checkpoint", trained["checkpoint"], "--manifest", trained["manifest"]]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        run_dir = Path(trained["dir"])
+        train_run = json.loads((run_dir / "run.json").read_text())
+        eval_run = json.loads((out / "run.json").read_text())
+        assert eval_run["command"] == argv
+        # the same config and seed resolve to the same digest for both commands
+        assert eval_run["config_digest"] == train_run["config_digest"]
+        for record, directory in ((train_run, run_dir), (eval_run, out)):
+            digest_line = (directory / "config.txt").read_text().splitlines()[0]
+            assert digest_line == f"# digest {record['config_digest']}"
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert (summary["command"], summary["config_digest"]) == (
+            train_run["command"], train_run["config_digest"])
+        header, _ = checkpoint._read(trained["checkpoint"])
+        assert header["command"] == train_run["command"]
+        first = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+        assert first == {"command": argv, "config_digest": eval_run["config_digest"]}
+        assert (out / "report.txt").read_text().splitlines()[:2] == [
+            f"# config {eval_run['config_digest']}", f"# command {' '.join(argv)}"]
+
     def test_eval_refuses_vocab_mismatch(self, trained, capsys):
         code = main(["eval", "--config", trained["cfg"],
                      "--checkpoint", trained["checkpoint"],
@@ -369,6 +393,13 @@ class TestMalformedInputFiles:
                   "--override", "train.max_epochs=0", "--pretrained", str(path)],
                  path, capsys)
 
+    def test_train_rejects_warm_start_without_fingerprint(self, cfg_path, tmp_path, capsys):
+        path = tmp_path / "pre.npz"
+        checkpoint._write(path, {"kind": checkpoint.WARM_START}, {})
+        self.run(["train", "--config", cfg_path, "--out-dir", str(tmp_path / "run"),
+                  "--override", "train.max_epochs=0", "--pretrained", str(path)],
+                 path, capsys)
+
     @pytest.mark.parametrize("text", ["# glossgen\n", "[]", '{"train": 5}',
                                       '{"train": [], "valid": []}'])
     def test_stats_manifest(self, tmp_path, capsys, text):
@@ -400,6 +431,19 @@ class TestAblate:
         assert all(np.isfinite(r["train_loss"]) for r in rows)
         table = (out / "ablation.txt").read_text()
         assert table.startswith("# config ")
+        record = json.loads((out / "run.json").read_text())
+        first = json.loads((out / "ablation.jsonl").read_text().splitlines()[0])
+        assert first == {k: record[k] for k in ("command", "config_digest")}
+        assert "--out-dir" not in first["command"]
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_epochs_below_one_is_user_error(self, cfg_path, tmp_path, capsys, epochs):
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", cfg_path, "--out-dir", str(out),
+                     "--epochs", epochs]) == 1
+        err = capsys.readouterr().err
+        assert "--epochs" in err and "internal error" not in err
+        assert not out.exists()  # rejected while parsing: no run directory, no FAILED
 
 
 class TestErrorsAndPaths:

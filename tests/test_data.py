@@ -103,6 +103,16 @@ class TestLoadCorpus:
         entries, report = D.load_corpus(path)
         assert len(entries) == 2 and report.n_malformed == 1
 
+    def test_repeated_id_is_malformed_and_first_kept(self, tmp_path):
+        path = write_corpus(tmp_path / "c.jsonl", [
+            make_record(id="e1"),
+            make_record(id="e2", word="lamp", contexts=["a lamp"]),
+            make_record(id="e1", word="lamp", contexts=["the lamp is on"])])
+        entries, report = D.load_corpus(path)
+        assert [(e.entry_id, e.word) for e in entries] == [("e1", "check"), ("e2", "lamp")]
+        assert report.loaded == 2
+        assert report.malformed == [(3, "id 'e1' repeats line 1")]
+
     def test_majority_malformed_is_hard_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with open(path, "w") as fh:

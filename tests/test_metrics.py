@@ -164,14 +164,6 @@ class TestPerplexity:
         with pytest.raises(M.MetricsError):
             M.perplexity(micro_model(), [])
 
-    def test_usage_task_requires_multi(self):
-        with pytest.raises(M.MetricsError):
-            M.perplexity(micro_model(), [entry()], task="usage")
-
-    def test_usage_task_on_parallel(self):
-        model = micro_model(kind="parallel")
-        assert M.perplexity(model, [entry()], task="usage") > 1.0
-
     def test_at_least_one_for_proper_distributions(self):
         ppl = M.perplexity(micro_model(), [entry()])
         assert ppl >= 1.0
