@@ -265,7 +265,7 @@ def write_split_manifest(splits: dict, path) -> None:
 
 def apply_split_manifest(entries, path) -> dict:
     """Entries per split of a JSON manifest mapping split names (at least
-    train, valid and test) to lists of entry ids."""
+    train, valid and test) to lists of entry ids, each id listed once."""
     with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -277,10 +277,15 @@ def apply_split_manifest(entries, path) -> dict:
         raise CorpusError(f"manifest {path}: expected a JSON object mapping train, "
                           "valid and test to lists of entry ids")
     by_id = {e.entry_id: e for e in entries}
-    out = {}
+    out, split_of = {}, {}
     for name, ids in manifest.items():
         missing = [i for i in ids if i not in by_id]
         if missing:
             raise CorpusError(f"manifest {path}: unknown entry ids {missing[:3]}")
+        for i in ids:
+            if i in split_of:
+                raise CorpusError(f"manifest {path}: entry id {i!r} is listed twice, "
+                                  f"in {split_of[i]} and {name}")
+            split_of[i] = name
         out[name] = [by_id[i] for i in ids]
     return out

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MULTI_KINDS
 from .data import find_target_occurrence
 
 
@@ -108,14 +107,13 @@ def perplexity(model, entries, task: str = "definition", batch_size: int = 16) -
         raise MetricsError("perplexity: empty corpus")
     if task not in ("definition", "all"):
         raise MetricsError(f"perplexity: unknown task {task!r}")
+    tasks = model.tasks if task == "all" else ("definition",)
     total, count = 0.0, 0
     for i in range(0, len(entries), batch_size):
-        out = model.forward_batch(entries[i:i + batch_size])
-        total += out.def_total_nll
-        count += out.def_tokens
-        if task == "all" and out.usg_total_nll is not None:
-            total += out.usg_total_nll
-            count += out.usg_tokens
+        nll = model.forward_batch(entries[i:i + batch_size], tasks).nll
+        for name in sorted(nll):  # definition before usage, whatever the decode order
+            total += nll[name][0]
+            count += nll[name][1]
     return float(np.exp(total / count))
 
 
@@ -158,9 +156,8 @@ def evaluate(model, labeled_entries, temperature: float | None = None, seed: int
         if label not in ("seen", "unseen"):
             raise MetricsError(f"evaluate: entry lacks a seen/unseen label, got {label!r}")
     buckets = {"seen": [], "unseen": []}
-    empty = 0
-    inclusion_hits = 0
-    multi = model.cfg.kind in MULTI_KINDS
+    empty = inclusion_hits = 0
+    multi = "usage" in model.tasks
     for e, label in labeled_entries:
         tokens, _ = model.generate(e, task="definition", temperature=temperature,
                                    seed=_entry_seed(seed, e.entry_id), max_len=max_len)
@@ -182,13 +179,12 @@ def evaluate(model, labeled_entries, temperature: float | None = None, seed: int
                                bleu=float(np.mean([p[0] for p in pairs])),
                                rouge=float(np.mean([p[1] for p in pairs])))
 
-    all_pairs = buckets["seen"] + buckets["unseen"]
-    ppl = perplexity(model, [e for e, _ in labeled_entries], task="definition")
+    full = scores(buckets["seen"] + buckets["unseen"])
     return EvalReport(
         entries=len(labeled_entries),
-        bleu=scores(all_pairs).bleu,
-        rouge=scores(all_pairs).rouge,
-        ppl=ppl,
+        bleu=full.bleu,
+        rouge=full.rouge,
+        ppl=perplexity(model, [e for e, _ in labeled_entries], task="definition"),
         seen=scores(buckets["seen"]),
         unseen=scores(buckets["unseen"]),
         usage_inclusion=(inclusion_hits / len(labeled_entries)) if multi else None,

@@ -93,10 +93,7 @@ def assign_arrays(targets: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> 
 @dataclass
 class ForwardOutput:
     loss: Tensor                      # optimization objective (scalar)
-    def_total_nll: float
-    def_tokens: int
-    usg_total_nll: float | None = None
-    usg_tokens: int | None = None
+    nll: dict[str, tuple[float, int]]  # task -> (total NLL, scored tokens)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -143,6 +140,10 @@ class DefinitionModel:
         self.def_gate = GatedInputBuilder(kids[7], g, cfg.gate_on, "def.gate")
         self.def_stack = DecoderStack(kids[7], g, cfg.d_s, v,
                                       cfg.n_decoder_layers, "def")
+        # Scoring order: a task with a lower stack decodes last, which fixes
+        # the tape and with it the order in which gradients are summed.
+        self.tasks = {"single": ("definition",),
+                      "hier-ud": ("usage", "definition")}.get(cfg.kind, ("definition", "usage"))
         self.usg_gate = self.usg_stack = self.shortcut = None
         if cfg.kind in MULTI_KINDS:
             self.usg_gate = GatedInputBuilder(kids[8], g, cfg.gate_on, "usg.gate")
@@ -242,13 +243,11 @@ class DefinitionModel:
         from inputs built by ``gate``; ``lower``, when set, is the other task's
         stack, re-run on the same inputs beneath it (the hierarchical kinds)."""
         kind = self.cfg.kind
+        if task not in self.tasks:
+            raise ShapeError(f"model kind {kind} has no {task!r} task")
         if task == "definition":
             return (self.usg_stack if kind == "hier-ud" else None,
                     self.def_stack, self.def_gate)
-        if task != "usage":
-            raise ShapeError(f"unknown task {task!r}")
-        if kind not in MULTI_KINDS:
-            raise ShapeError("usage generation requires a multi-task model kind")
         return (self.def_stack if kind == "hier-du" else None,
                 self.usg_stack, self.usg_gate)
 
@@ -285,37 +284,30 @@ class DefinitionModel:
 
     # -- public forward -----------------------------------------------------
 
-    def forward_batch(self, entries) -> ForwardOutput:
+    def encode_task(self, entries, task: str) -> list[list[int]]:
+        """Each entry's gold ids for ``task``; ShapeError names an entry without them."""
+        seqs = []
+        for e in entries:
+            text = e.definition if task == "definition" else e.usage
+            if not text:
+                raise ShapeError(f"entry {e.entry_id}: no {task} text")
+            seqs.append(self.vocab.encode(text))
+        return seqs
+
+    def forward_batch(self, entries, tasks=None) -> ForwardOutput:
+        """Teacher-forced scores of ``tasks``, by default all of ``self.tasks``."""
         entries = list(entries)
         if not entries:
             raise ShapeError("forward: empty batch")
-        for e in entries:
-            if not e.definition:
-                raise ShapeError(f"entry {e.entry_id}: missing definition")
-        tasks = ["definition"]
-        if self.cfg.kind in MULTI_KINDS:
-            for e in entries:
-                if not e.usage:
-                    raise ShapeError(
-                        f"entry {e.entry_id}: model kind {self.cfg.kind} requires usage text")
-            tasks.append("usage")
+        tasks = self.tasks if tasks is None else tasks
+        gold = {task: (self._route(task), self.encode_task(entries, task)) for task in tasks}
         features, s0, warnings = self._condition(entries)
-        # A task with a lower stack decodes last (hier-ud scores usage first):
-        # the order fixes the tape, and with it the gradient summation order.
-        tasks.sort(key=lambda task: self._route(task)[0] is not None)
-        scored = {}
-        for task in tasks:
-            seqs = [self.vocab.encode(e.definition if task == "definition" else e.usage)
-                    for e in entries]
-            scored[task] = self._decode_loss(self._route(task), s0, features, seqs)
-        d_mean, d_total, d_count = scored["definition"]
-        if "usage" not in scored:
-            return ForwardOutput(loss=d_mean, def_total_nll=d_total, def_tokens=d_count,
-                                 warnings=warnings)
-        u_mean, u_total, u_count = scored["usage"]
-        return ForwardOutput(loss=add(d_mean, u_mean), def_total_nll=d_total,
-                             def_tokens=d_count, usg_total_nll=u_total,
-                             usg_tokens=u_count, warnings=warnings)
+        loss, nll = None, {}
+        for task, (route, seqs) in gold.items():
+            mean, total, count = self._decode_loss(route, s0, features, seqs)
+            loss = mean if loss is None else add(loss, mean)
+            nll[task] = (total, count)
+        return ForwardOutput(loss=loss, nll=nll, warnings=warnings)
 
     def forward(self, entry) -> ForwardOutput:
         return self.forward_batch([entry])

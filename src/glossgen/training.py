@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (AdamState, NumericalError, Tape, adam_step, backward,
+from .autodiff import (AdamState, NumericalError, ShapeError, Tape, adam_step, backward,
                        global_grad_norm, zero_grads)
 from .checkpoint import save_checkpoint, save_pretrained
 from .config import Config
@@ -104,12 +104,18 @@ def train(model, cfg: Config, train_entries, valid_entries,
     Stops after ``cfg.train.max_epochs`` epochs, once more than
     ``cfg.train.patience`` consecutive epochs fail to improve validation
     perplexity, or as soon as it drops to ``stop_ppl`` when one is given.
-    A non-finite loss aborts with the epoch, step, and batch entry ids.
+    A non-finite loss aborts with the epoch, step, and batch entry ids; an
+    entry without the text of one of the model's tasks, before the first step.
     """
     train_entries = list(train_entries)
     valid_entries = list(valid_entries)
     if not train_entries:
         raise TrainingError("train: empty training corpus")
+    for task in model.tasks:
+        try:
+            model.encode_task(train_entries + valid_entries, task)
+        except ShapeError as exc:
+            raise TrainingError(f"train: {exc}") from None
     t = cfg.train
     best_ppl, best_epoch, since_improve = float("inf"), 0, 0
 

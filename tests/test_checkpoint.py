@@ -69,8 +69,7 @@ class TestRoundTrip:
         loaded, _, _ = load_checkpoint(path)
         a = model.forward_batch([e])
         b = loaded.forward_batch([e])
-        assert a.def_total_nll == b.def_total_nll
-        assert a.usg_total_nll == b.usg_total_nll
+        assert a.nll == b.nll
 
     def test_config_round_trips(self, tmp_path):
         cfg = full_cfg(kind="parallel", gate_on=False)

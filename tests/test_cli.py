@@ -314,6 +314,31 @@ class TestEvalAndGenerate:
         assert code == 1
         assert "--temperature" in capsys.readouterr().err
 
+    def test_multi_task_usage_text_needed_to_train_not_to_eval(self, cfg_path, tmp_path,
+                                                                capsys):
+        rows = [json.loads(line) for line in
+                open(resolve_data_path("", "mini_corpus.jsonl"), encoding="utf-8")]
+
+        def args(*no_usage):  # mini-028 falls in the train split, mini-032 in test
+            corpus = tmp_path / f"corpus-{len(no_usage)}.jsonl"
+            corpus.write_text("".join(
+                json.dumps({k: v for k, v in row.items()
+                            if k != "usage" or row["id"] not in no_usage}) + "\n"
+                for row in rows))
+            return ["--config", cfg_path, "--override", "model.kind=hier-du",
+                    "--override", f"data.corpus={corpus}"]
+
+        run = tmp_path / "run"
+        assert main(["train", "--out-dir", str(run)] + args("mini-028", "mini-032")) == 1
+        assert "entry mini-028: no usage text" in capsys.readouterr().err
+        assert not (run / "train_log.jsonl").exists()
+        assert main(["train", "--out-dir", str(run)] + args("mini-032")) == 0
+        manifest = run / "split_manifest.json"
+        assert "mini-032" in json.loads(manifest.read_text())["test"]
+        assert main(["eval", "--checkpoint", str(run / "model.npz"), "--manifest",
+                     str(manifest), "--out-dir", str(tmp_path / "ev")]
+                    + args("mini-032")) == 0
+
     def test_generate_usage_needs_multi_task_model(self, trained, capsys):
         code = main(["generate", "--config", trained["cfg"],
                      "--checkpoint", trained["checkpoint"],
@@ -405,6 +430,13 @@ class TestMalformedInputFiles:
     def test_stats_manifest(self, tmp_path, capsys, text):
         path = tmp_path / "manifest.json"
         path.write_text(text)
+        self.run(["data", "stats", "--manifest", str(path)], path, capsys)
+
+    def test_stats_manifest_repeated_id(self, trained, tmp_path, capsys):
+        manifest = json.loads(open(trained["manifest"]).read())
+        manifest["test"].append(manifest["train"][0])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
         self.run(["data", "stats", "--manifest", str(path)], path, capsys)
 
     def test_train_checks_manifest_before_fitting(self, cfg_path, trained, tmp_path, capsys):

@@ -212,6 +212,20 @@ class TestSplits:
         for name in splits:
             assert [e.entry_id for e in restored[name]] == [e.entry_id for e in splits[name]]
 
+    @pytest.mark.parametrize("into, shared", [("train", "train and train"),
+                                              ("test", "test and train")])
+    def test_manifest_repeated_id_rejected(self, tmp_path, into, shared):
+        splits = dict(zip(("train", "valid", "test"),
+                          D.split_by_sense(self.entries, (0.5, 0.25, 0.25), seed=3)))
+        path = tmp_path / "splits.json"
+        D.write_split_manifest(splits, path)
+        manifest = json.loads(path.read_text())
+        repeated = manifest["train"][0]
+        manifest[into].append(repeated)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(D.CorpusError, match=f"{repeated!r} is listed twice, in {shared}"):
+            D.apply_split_manifest(self.entries, path)
+
 
 class TestSeenUnseen:
     def test_same_word_different_sense_is_seen(self):

@@ -136,6 +136,17 @@ class TestRougeL:
             assert M.lcs_length(a, b) == lcs_rec(tuple(a), tuple(b))
 
 
+# kind -> definition perplexity of the three entries of
+# test_two_path_aggregation at batch sizes 1 and 2, char and contextual
+# features on, recorded while every kind also decoded usage for it
+PINNED_PPL = {
+    "single": (19.817474980623132, 19.817474980623132),
+    "parallel": (19.817474980623132, 19.817474980623132),
+    "hier-du": (19.817474980623132, 19.817474980623132),
+    "hier-ud": (19.62219679282477, 19.622196792824763),
+}
+
+
 class TestPerplexity:
     def test_uniform_model_equals_vocab_size(self):
         model = micro_model()
@@ -147,22 +158,30 @@ class TestPerplexity:
     def test_single_entry_degenerate_average(self):
         model = micro_model()
         e = entry()
-        out = model.forward(e)
+        total, count = model.forward(e).nll["definition"]
         ppl = M.perplexity(model, [e])
-        assert ppl == pytest.approx(np.exp(out.def_total_nll / out.def_tokens), abs=1e-12)
+        assert ppl == pytest.approx(np.exp(total / count), abs=1e-12)
 
     def test_two_path_aggregation(self):
         model = micro_model()
         entries = [entry(eid="a"), entry(word="cat", definition=("a", "cat",), eid="b"),
                    entry(word="dog", definition=("a", "good", "dog", "runs"), eid="c")]
         ppl = M.perplexity(model, entries, batch_size=2)
-        total = sum(model.forward(e).def_total_nll for e in entries)
-        count = sum(model.forward(e).def_tokens for e in entries)
+        total = sum(model.forward(e).nll["definition"][0] for e in entries)
+        count = sum(model.forward(e).nll["definition"][1] for e in entries)
         assert ppl == pytest.approx(np.exp(total / count), abs=1e-9)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(M.MetricsError):
             M.perplexity(micro_model(), [])
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_PPL))
+    def test_pinned(self, kind):
+        model = micro_model(kind=kind, char_on=True, contextual_on=True)
+        entries = [entry(eid="a"), entry(word="cat", definition=("a", "cat",), eid="b"),
+                   entry(word="dog", definition=("a", "good", "dog", "runs"), eid="c")]
+        got = tuple(M.perplexity(model, entries, batch_size=b) for b in (1, 2))
+        assert got == PINNED_PPL[kind]
 
     def test_at_least_one_for_proper_distributions(self):
         ppl = M.perplexity(micro_model(), [entry()])
@@ -175,6 +194,7 @@ class FakeEchoModel:
     def __init__(self, inner, echo=True):
         self.inner = inner
         self.cfg = inner.cfg
+        self.tasks = inner.tasks
         self.echo = echo
         self._gold = {}
 
@@ -188,8 +208,8 @@ class FakeEchoModel:
         return self.inner.generate(e, task=task, temperature=temperature or 0.5,
                                    seed=seed, max_len=max_len)
 
-    def forward_batch(self, entries):
-        return self.inner.forward_batch(entries)
+    def forward_batch(self, entries, tasks=None):
+        return self.inner.forward_batch(entries, tasks)
 
 
 class TestEvaluate:
@@ -242,6 +262,15 @@ class TestEvaluate:
         report = M.evaluate(model, labeled, temperature=0.5, seed=1)
         assert report.usage_inclusion is not None
         assert 0.0 <= report.usage_inclusion <= 1.0
+
+    @pytest.mark.parametrize("kind", ["hier-du", "hier-ud"])
+    def test_entry_without_usage_scores_the_same(self, kind):
+        model = micro_model(kind=kind)
+        labeled = self.labeled()
+        with_usage = M.evaluate(model, labeled, temperature=0.5, seed=1)
+        labeled[1][0].usage = None
+        without = M.evaluate(model, labeled, temperature=0.5, seed=1)
+        assert M.report_lines(without) == M.report_lines(with_usage)
 
     def test_single_has_no_inclusion_rate(self):
         report = M.evaluate(micro_model(), self.labeled(), temperature=0.5, seed=1)

@@ -113,6 +113,21 @@ PINNED_SAMPLES = {
 }
 
 
+# kind -> (tasks, loss, {task: (total NLL, tokens)}) of padded_batch() at
+# seed 22 with char and contextual features on, recorded while the scores
+# were still separate definition and usage fields
+PINNED_SCORES = {
+    "single": (("definition",), 2.994933953996859,
+               {"definition": (20.964537677978015, 7)}),
+    "parallel": (("definition", "usage"), 6.001378663585112,
+                 {"definition": (20.964537677978015, 7), "usage": (30.064447095882528, 10)}),
+    "hier-du": (("definition", "usage"), 5.9847511882801525,
+                {"definition": (20.964537677978015, 7), "usage": (29.898172342832932, 10)}),
+    "hier-ud": (("usage", "definition"), 5.98888487240391,
+                {"definition": (20.877081139709595, 7), "usage": (30.064447095882528, 10)}),
+}
+
+
 def pinned_entries():
     """A usage entry and one whose context is the word alone."""
     return [usage_entry(),
@@ -159,13 +174,14 @@ class TestForwardSingle:
         for entries in ([entry()], padded_batch()):
             out = model.forward_batch(entries)
             recomputed, tokens = stepwise_nll(model, entries, "definition")
-            assert abs(out.def_total_nll - recomputed) < 1e-9
-            assert out.def_tokens == tokens
+            assert abs(out.nll["definition"][0] - recomputed) < 1e-9
+            assert out.nll["definition"][1] == tokens
 
     def test_loss_is_token_mean(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=1)
         out = model.forward(entry())
-        assert abs(out.loss.item() - out.def_total_nll / out.def_tokens) < 1e-12
+        total, count = out.nll["definition"]
+        assert abs(out.loss.item() - total / count) < 1e-12
 
     def test_zero_conditioning_is_pure_language_model(self):
         # lm_loss depends on the definition decoder alone: no usage stack or
@@ -181,20 +197,20 @@ class TestForwardSingle:
         a = entry(word="cat", definition=["a", "small", "mark"])
         b = entry(word="dog", definition=["a", "small", "mark"],
                   context=["the", "dog", "runs"])
-        assert model.forward(a).def_total_nll != model.forward(b).def_total_nll
+        assert model.forward(a).nll["definition"] != model.forward(b).nll["definition"]
 
     def test_single_token_context(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=3)
         e = entry(context=["check"])
         out = model.forward(e)
-        assert np.isfinite(out.def_total_nll)
+        assert np.isfinite(out.nll["definition"][0])
 
     def test_unknown_word_warns_and_runs(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=3)
         e = entry(word="zebra", context=["a", "zebra", "runs"])
         out = model.forward(e)
         assert any("zebra" in w for w in out.warnings)
-        assert np.isfinite(out.def_total_nll)
+        assert np.isfinite(out.nll["definition"][0])
 
     def test_batched_equals_sum_of_singles(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=4)
@@ -203,10 +219,10 @@ class TestForwardSingle:
                          context=["the", "dog", "barks"])]
         both = model.forward_batch(entries)
         singles = [model.forward(e) for e in entries]
-        total = sum(o.def_total_nll for o in singles)
-        count = sum(o.def_tokens for o in singles)
-        assert abs(both.def_total_nll - total) < 1e-9
-        assert both.def_tokens == count
+        total = sum(o.nll["definition"][0] for o in singles)
+        count = sum(o.nll["definition"][1] for o in singles)
+        assert abs(both.nll["definition"][0] - total) < 1e-9
+        assert both.nll["definition"][1] == count
 
     def test_uniform_projection_gives_log_vocab(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=5)
@@ -215,7 +231,7 @@ class TestForwardSingle:
         e = entry()
         out = model.forward(e)
         expected = (len(e.definition) + 1) * np.log(20)
-        assert abs(out.def_total_nll - expected) < 1e-9
+        assert abs(out.nll["definition"][0] - expected) < 1e-9
 
     def test_empty_batch_rejected(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=5)
@@ -229,7 +245,7 @@ class TestMultiTask:
         e = usage_entry()
         single = DefinitionModel(micro_cfg(kind="single"), vocab, seed=7)
         parallel = DefinitionModel(micro_cfg(kind="parallel"), vocab, seed=7)
-        assert single.forward(e).def_total_nll == parallel.forward(e).def_total_nll
+        assert single.forward(e).nll["definition"] == parallel.forward(e).nll["definition"]
 
     def test_parallel_usage_params_do_not_affect_def(self):
         model = DefinitionModel(micro_cfg(kind="parallel"), make_vocab(), seed=8)
@@ -239,8 +255,8 @@ class TestMultiTask:
             t.data += 0.5
         model.usg_gate.params()["usg.gate.W_g"].data += 0.5
         after = model.forward(e)
-        assert after.def_total_nll == before.def_total_nll
-        assert after.usg_total_nll != before.usg_total_nll
+        assert after.nll["definition"][0] == before.nll["definition"][0]
+        assert after.nll["usage"][0] != before.nll["usage"][0]
 
     def test_missing_usage_rejected(self):
         model = DefinitionModel(micro_cfg(kind="parallel"), make_vocab(), seed=8)
@@ -251,8 +267,8 @@ class TestMultiTask:
         for kind in ("parallel", "hier-du", "hier-ud"):
             model = DefinitionModel(micro_cfg(kind=kind), make_vocab(), seed=9)
             out = model.forward(usage_entry())
-            assert np.isfinite(out.def_total_nll)
-            assert np.isfinite(out.usg_total_nll)
+            assert np.isfinite(out.nll["definition"][0])
+            assert np.isfinite(out.nll["usage"][0])
 
     def test_hier_shortcut_shape(self):
         cfg = micro_cfg(kind="hier-du")
@@ -263,9 +279,9 @@ class TestMultiTask:
     def test_hier_du_shortcut_carries_def_influence(self):
         model = DefinitionModel(micro_cfg(kind="hier-du"), make_vocab(), seed=11)
         e = usage_entry()
-        before = model.forward(e).usg_total_nll
+        before = model.forward(e).nll["usage"][0]
         model.def_stack.params()["def.gru0.W_z"].data += 0.5
-        after = model.forward(e).usg_total_nll
+        after = model.forward(e).nll["usage"][0]
         assert after != before
 
     def test_hier_du_zeroed_shortcut_block_cuts_def_influence(self):
@@ -274,10 +290,10 @@ class TestMultiTask:
         g = gated_input_dim(cfg)
         model.shortcut.data[g:, :] = 0.0  # rows that multiply the re-run state
         e = usage_entry()
-        before = model.forward(e).usg_total_nll
+        before = model.forward(e).nll["usage"][0]
         for name, t in model.def_stack.params().items():
             t.data += 0.3
-        after = model.forward(e).usg_total_nll
+        after = model.forward(e).nll["usage"][0]
         assert after == before
 
     def test_hier_variants_differ(self):
@@ -285,19 +301,50 @@ class TestMultiTask:
         e = usage_entry()
         du = DefinitionModel(micro_cfg(kind="hier-du"), vocab, seed=12).forward(e)
         ud = DefinitionModel(micro_cfg(kind="hier-ud"), vocab, seed=12).forward(e)
-        assert du.def_total_nll != ud.def_total_nll
+        assert du.nll["definition"][0] != ud.nll["definition"][0]
 
     def test_loss_is_sum_of_task_means(self):
         model = DefinitionModel(micro_cfg(kind="parallel"), make_vocab(), seed=13)
         out = model.forward(usage_entry())
-        means = out.def_total_nll / out.def_tokens + out.usg_total_nll / out.usg_tokens
+        means = sum(total / count for total, count in out.nll.values())
         assert abs(out.loss.item() - means) < 1e-12
 
     def test_single_loss_is_definition_mean(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=13)
         out = model.forward(entry())
-        assert out.usg_total_nll is None and out.usg_tokens is None
-        assert abs(out.loss.item() - out.def_total_nll / out.def_tokens) < 1e-12
+        assert list(out.nll) == ["definition"]
+        total, count = out.nll["definition"]
+        assert abs(out.loss.item() - total / count) < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_SCORES))
+    def test_scores_pinned(self, kind):
+        cfg = micro_cfg(kind=kind, char_on=True, contextual_on=True)
+        model = DefinitionModel(cfg, make_vocab(), seed=22)
+        tasks, loss, nll = PINNED_SCORES[kind]
+        out = model.forward_batch(padded_batch())
+        assert model.tasks == tasks
+        assert list(out.nll) == list(tasks)
+        assert out.loss.item() == loss
+        assert out.nll == nll
+
+    @pytest.mark.parametrize("kind", ["parallel", "hier-du", "hier-ud"])
+    def test_named_task_is_the_only_one_scored(self, kind):
+        model = DefinitionModel(micro_cfg(kind=kind), make_vocab(), seed=23)
+        both = model.forward_batch(padded_batch())
+        for task in model.tasks:
+            out = model.forward_batch(padded_batch(), (task,))
+            assert out.nll == {task: both.nll[task]}
+            assert abs(out.loss.item() - both.nll[task][0] / both.nll[task][1]) < 1e-12
+        # Only the named task's text is required.
+        no_usage = [entry(), padded_batch()[1]]
+        out = model.forward_batch(no_usage, ("definition",))
+        assert out.nll == {"definition": both.nll["definition"]}
+
+    def test_task_the_model_lacks_rejected(self):
+        model = DefinitionModel(micro_cfg(), make_vocab(), seed=23)
+        for task in ("usage", "example"):
+            with pytest.raises(ShapeError, match=f"no '{task}' task"):
+                model.forward_batch([usage_entry()], (task,))
 
     @pytest.mark.parametrize("kind", ["parallel", "hier-du", "hier-ud"])
     @pytest.mark.parametrize("task", ["definition", "usage"])
@@ -306,9 +353,9 @@ class TestMultiTask:
         for entries in ([usage_entry()], padded_batch()):
             out = model.forward_batch(entries)
             recomputed, tokens = stepwise_nll(model, entries, task)
-            total = out.def_total_nll if task == "definition" else out.usg_total_nll
+            total, count = out.nll[task]
             assert abs(total - recomputed) < 1e-9
-            assert tokens == (out.def_tokens if task == "definition" else out.usg_tokens)
+            assert tokens == count
 
 
 class TestGradients:
@@ -382,9 +429,9 @@ class TestStateArrays:
         a = DefinitionModel(cfg, vocab, seed=17)
         b = DefinitionModel(cfg, vocab, seed=99)
         e = usage_entry()
-        assert a.forward(e).def_total_nll != b.forward(e).def_total_nll
+        assert a.forward(e).nll != b.forward(e).nll
         b.load_state_arrays(a.state_arrays())
-        assert a.forward(e).def_total_nll == b.forward(e).def_total_nll
+        assert a.forward(e).nll == b.forward(e).nll
 
     def test_shape_mismatch_rejected(self):
         vocab = make_vocab()

@@ -87,22 +87,32 @@ def reference_fit(params, t, items, epochs, loss_of):
     return m, v, steps
 
 
+# kind -> validation perplexity of corpus(with_usage=True) at batch sizes 1
+# and 2, model seed 1 with char and contextual features on, recorded while
+# the scores were still separate definition and usage fields
+PINNED_VALID_PPL = {
+    "single": (19.895355751432376, 19.89535575143237),
+    "parallel": (19.986720563396254, 19.986720563396254),
+    "hier-du": (19.965156524624785, 19.965156524624792),
+    "hier-ud": (20.14960803814993, 20.149608038149918),
+}
+
+
 class TestValidationPpl:
     """Validation perplexity is ``metrics.perplexity`` pooled over all tasks."""
 
     def test_matches_pooled_forward_totals(self):
         model = build(seed=1, kind="parallel")
         entries = corpus(with_usage=True)
-        out = model.forward_batch(entries)
-        expected = np.exp((out.def_total_nll + out.usg_total_nll)
-                          / (out.def_tokens + out.usg_tokens))
+        (d_total, d_count), (u_total, u_count) = model.forward_batch(entries).nll.values()
+        expected = np.exp((d_total + u_total) / (d_count + u_count))
         assert perplexity(model, entries, task="all") == pytest.approx(expected, rel=1e-12)
 
     def test_single_kind_uses_definition_only(self):
         model = build(seed=1)
         entries = corpus()
-        out = model.forward_batch(entries)
-        expected = np.exp(out.def_total_nll / out.def_tokens)
+        total, count = model.forward_batch(entries).nll["definition"]
+        expected = np.exp(total / count)
         assert perplexity(model, entries, task="all") == pytest.approx(expected, rel=1e-12)
 
     def test_batch_size_does_not_change_result(self):
@@ -115,6 +125,13 @@ class TestValidationPpl:
     def test_empty_corpus_rejected(self):
         with pytest.raises(MetricsError, match="empty"):
             perplexity(build(), [], task="all")
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_VALID_PPL))
+    def test_pinned(self, kind):
+        model = build(seed=1, kind=kind, char_on=True, contextual_on=True)
+        got = tuple(perplexity(model, corpus(with_usage=True), task="all", batch_size=b)
+                    for b in (1, 2))
+        assert got == PINNED_VALID_PPL[kind]
 
 
 class TestTrainLoop:
@@ -201,6 +218,20 @@ class TestTrainLoop:
     def test_empty_train_corpus_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
             train(build(), full_cfg(), [], corpus()[:2])
+
+    @pytest.mark.parametrize("kind", ["parallel", "hier-du", "hier-ud"])
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_missing_task_text_stops_before_first_step(self, tmp_path, monkeypatch,
+                                                        kind, split):
+        monkeypatch.setattr(training, "adam_step", lambda *a: pytest.fail("stepped"))
+        entries = corpus(with_usage=True)
+        victim = entries[5] if split == "train" else entries[-1]
+        victim.usage = None
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(TrainingError, match=f"entry {victim.entry_id}: no usage text"):
+            train(build(kind=kind), full_cfg(model_kw={"kind": kind}), entries[:6],
+                  entries[6:], log_path=log)
+        assert not log.exists()
 
 
 class TestNonFiniteGradient:
