@@ -31,17 +31,15 @@ print(f"char features for 'check': shape {feat.data.shape}")
 
 # the encoder runs a bidirectional recurrence over the context sentence
 ctx = tokenize("she went to the bank to deposit a check")
-encoded = model.encoder.encode(vocab.encode(ctx))
-print(f"encoded {len(ctx)} tokens -> H {encoded.H.data.shape}, "
-      f"summary {encoded.v_c.data.shape}")
+H, v_c = model.encoder.encode(vocab.encode(ctx))
+print(f"encoded {len(ctx)} tokens -> H {H.data.shape}, summary {v_c.data.shape}")
 
 
 def show_attention(word, sentence):
     toks = tokenize(sentence)
-    wid = vocab.token_to_id.get(word, vocab.unk_id)
-    v_star = embedding_lookup(model.embedding.frozen, [wid])
-    enc = model.encoder.encode(vocab.encode(toks))
-    _, weights = model.attention.attend(v_star, enc.H)
+    v_star = embedding_lookup(model.embedding.frozen, vocab.encode([word]))
+    H, _ = model.encoder.encode(vocab.encode(toks))
+    _, weights = model.attention.attend(v_star, H)
     print(f"\nattention for {word!r} in: {sentence}")
     order = np.argsort(-weights.data.ravel())
     for i in order[:4]:

@@ -62,10 +62,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self):
         if self.data.size != 1:
             raise ShapeError(f"item: tensor has {self.data.size} elements, expected 1")

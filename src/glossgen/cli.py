@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 
-from .autodiff import ShapeError
+from .autodiff import NumericalError, ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, load_pretrained
 from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
                      config_digest, config_to_text, default_config,
@@ -154,6 +155,17 @@ def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
                            contextual=_contextual(cfg))
 
 
+@contextmanager
+def _checkpoint_numerics(path: str):
+    """A loaded checkpoint is outside input: its parameters may be finite yet
+    overflow when run, which is the user's error, not the program's."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise CliError(f"{path}: the checkpoint's parameters give non-finite "
+                       f"values: {exc}") from None
+
+
 def _splits(entries, cfg: Config, manifest: str | None) -> dict:
     if manifest:
         return apply_split_manifest(entries, manifest)
@@ -287,7 +299,8 @@ def cmd_eval(args, cfg, run) -> int:
     splits = (apply_split_manifest(entries, args.manifest) if args.manifest
               else {"train": [], "test": entries})
     labeled = partition_seen_unseen(splits["train"], splits["test"])
-    report = evaluate(model, labeled, seed=cfg.train.seed)
+    with _checkpoint_numerics(args.checkpoint):
+        report = evaluate(model, labeled, seed=cfg.train.seed)
     print(_write_report(args.out_dir, "report", run, format_report(report),
                         report_lines(report)), end="")
     return 0
@@ -299,9 +312,10 @@ def cmd_generate(args, cfg, run) -> int:
     model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
     for i, context in enumerate(args.context):
         entry = make_query_entry(args.word, context, entry_id=f"query-{i}")
-        tokens, meta = model.generate(entry, task=args.task,
-                                      temperature=args.temperature,
-                                      seed=cfg.train.seed)
+        with _checkpoint_numerics(args.checkpoint):
+            tokens, meta = model.generate(entry, task=args.task,
+                                          temperature=args.temperature,
+                                          seed=cfg.train.seed)
         record = {"word": entry.word, "context": " ".join(entry.contexts[0]),
                   "output": " ".join(tokens)}
         record.update(meta)

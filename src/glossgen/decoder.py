@@ -64,15 +64,15 @@ class InitStateProjector:
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def init_state(self, v_star: Tensor | None, v_c: Tensor | None,
-                   batch: int = 1) -> list[Tensor]:
+    def init_state(self, v_star: Tensor, v_c: Tensor) -> list[Tensor]:
+        """One state per layer, each with a row per row of v* (B, d_w) and v_c (B, d_ctx)."""
+        batch = v_star.shape[0]
+        if v_star.shape != (batch, self.d_w) or v_c.shape != (batch, self.d_ctx):
+            raise ShapeError(f"init_state: v* {v_star.shape} and v_c {v_c.shape} must be "
+                             f"(B, {self.d_w}) and (B, {self.d_ctx})")
         upper = [Tensor(np.zeros((batch, self.d_s))) for _ in range(self.n_layers - 1)]
         if self.variant == "zeros":
             return [Tensor(np.zeros((batch, self.d_s)))] + upper
-        if self.variant in ("word", "both") and (v_star is None or v_star.shape != (batch, self.d_w)):
-            raise ShapeError(f"init_state: v* must be ({batch}, {self.d_w})")
-        if self.variant in ("context", "both") and (v_c is None or v_c.shape != (batch, self.d_ctx)):
-            raise ShapeError(f"init_state: v_c must be ({batch}, {self.d_ctx})")
         if self.variant == "word":
             v_c = Tensor(np.zeros((batch, self.d_ctx)))
         elif self.variant == "context":

@@ -7,8 +7,6 @@ Row convention throughout: activations are (batch, dim) matrices, weights are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, concat, embedding_lookup, matmul, max_over_axis, mul, one_minus, scale, sigmoid, slice_axis, softmax, tanh
@@ -95,12 +93,6 @@ class GruCell:
         return Tensor(np.zeros((batch, self.hidden_dim)))
 
 
-@dataclass
-class EncodedContext:
-    H: Tensor    # (m, 2*d_h), row i = [forward state ; backward state]
-    v_c: Tensor  # (1, 2*d_h), dimension-wise max over H rows
-
-
 class ContextEncoder:
     """Bidirectional GRU over the encoder's own trainable embedding table.
 
@@ -122,15 +114,16 @@ class ContextEncoder:
         out.update(self.bwd.params())
         return out
 
-    def encode(self, token_ids) -> EncodedContext:
+    def encode(self, token_ids) -> tuple[Tensor, Tensor]:
+        """Returns (H (m, 2*d_h), v_c (1, 2*d_h)): row i of H is [forward
+        state ; backward state] at token i, v_c the dimension-wise max over H."""
         ids = list(token_ids)[: self.max_len]
         if not ids:
             raise ShapeError("context encoder: empty context")
         emb = embedding_lookup(self.table, ids)  # (m, d_w)
         h0 = self.fwd.zero_state(1)
         H = concat([self.fwd.run(h0, emb), self.bwd.run(h0, emb, reverse=True)], axis=1)
-        v_c = max_over_axis(H, axis=0, keepdims=True)
-        return EncodedContext(H=H, v_c=v_c)
+        return H, max_over_axis(H, axis=0, keepdims=True)
 
 
 class SenseAttention:

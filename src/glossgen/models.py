@@ -10,11 +10,11 @@ contextual provider, both embedding tables, and the initial-state projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, sum_all
+from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, slice_axis, sum_all
 from .config import MULTI_KINDS, ModelConfig
 from .data import SPECIALS, Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, GatedInputBuilder, InitStateProjector, sample_sequence
@@ -94,7 +94,6 @@ def assign_arrays(targets: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> 
 class ForwardOutput:
     loss: Tensor                      # optimization objective (scalar)
     nll: dict[str, tuple[float, int]]  # task -> (total NLL, scored tokens)
-    warnings: list[str] = field(default_factory=list)
 
 
 class DefinitionModel:
@@ -189,38 +188,30 @@ class DefinitionModel:
     # -- conditioning -------------------------------------------------------
 
     def _condition(self, entries):
-        """(features, s0, warnings) for a batch: ``features`` is [a*, c*, e*],
-        one row per entry, with c* and e* only when that feature is on."""
-        rows_a, rows_v, rows_vc, rows_c, rows_e = [], [], [], [], []
-        warnings = []
-        for e in entries:
+        """(features, s0) for a batch: ``features`` is [a*, c*, e*], one row per
+        entry, with c* and e* only when that feature is on. Only context
+        encoding, attention and char features are built entry by entry; the
+        headword rows v* and e* come from constant tables and record no node."""
+        v_star = embedding_lookup(self.embedding.frozen,
+                                  self.vocab.encode([e.word for e in entries]))
+        rows_a, rows_vc, rows_c = [], [], []
+        for i, e in enumerate(entries):
             if not e.contexts:
                 raise ShapeError(f"entry {e.entry_id}: no context sentence")
-            if e.word in self.vocab:
-                wid = self.vocab.token_to_id[e.word]
-            else:
-                wid = self.vocab.unk_id
-                warnings.append(
-                    f"entry {e.entry_id}: word {e.word!r} not in vocabulary, "
-                    "using the unknown-token vector")
-            v_star = embedding_lookup(self.embedding.frozen, [wid])
-            encoded = self.encoder.encode(self.vocab.encode(e.contexts[0]))
-            a_star, _ = self.attention.attend(v_star, encoded.H)
-            rows_a.append(a_star)
-            rows_v.append(v_star)
-            rows_vc.append(encoded.v_c)
+            H, v_c = self.encoder.encode(self.vocab.encode(e.contexts[0]))
+            rows_a.append(self.attention.attend(slice_axis(v_star, 0, i, i + 1), H)[0])
+            rows_vc.append(v_c)
             if self.char_encoder is not None:
                 rows_c.append(self.char_encoder.encode(e.word))
-            if self.cfg.contextual_on:
-                rows_e.append(Tensor(self.contextual.embed_for_entry(e)[None, :]))
 
         def cat(rows):
             return rows[0] if len(rows) == 1 else concat(rows, axis=0)
 
-        a, v_star_b, v_c_b, *rest = [cat(rows) for rows in
-                                     (rows_a, rows_v, rows_vc, rows_c, rows_e) if rows]
-        s0 = self.init_proj.init_state(v_star_b, v_c_b, batch=len(entries))
-        return [a, *rest], s0, warnings
+        features = [cat(rows) for rows in (rows_a, rows_c) if rows]
+        if self.cfg.contextual_on:
+            features.append(Tensor(np.stack([self.contextual.embed_for_entry(e)
+                                             for e in entries])))
+        return features, self.init_proj.init_state(v_star, cat(rows_vc))
 
     # -- decoding -----------------------------------------------------------
 
@@ -301,13 +292,13 @@ class DefinitionModel:
             raise ShapeError("forward: empty batch")
         tasks = self.tasks if tasks is None else tasks
         gold = {task: (self._route(task), self.encode_task(entries, task)) for task in tasks}
-        features, s0, warnings = self._condition(entries)
+        features, s0 = self._condition(entries)
         loss, nll = None, {}
         for task, (route, seqs) in gold.items():
             mean, total, count = self._decode_loss(route, s0, features, seqs)
             loss = mean if loss is None else add(loss, mean)
             nll[task] = (total, count)
-        return ForwardOutput(loss=loss, nll=nll, warnings=warnings)
+        return ForwardOutput(loss=loss, nll=nll)
 
     def forward(self, entry) -> ForwardOutput:
         return self.forward_batch([entry])
@@ -345,7 +336,7 @@ class DefinitionModel:
         """Sample one sequence for the entry; returns (tokens, metadata)."""
         temperature = self.cfg.temperature if temperature is None else temperature
         max_len = self.cfg.max_gen_len if max_len is None else max_len
-        features, s0, warnings = self._condition([entry])
+        features, s0 = self._condition([entry])
         route = self._route(task)
 
         def step(states, prev_id):
@@ -354,10 +345,12 @@ class DefinitionModel:
         rng = np.random.default_rng(seed)
         ids = sample_sequence(step, (s0, s0), self.vocab.bos_id, self.vocab.eos_id,
                               max_len, temperature, rng)
+        unknown = entry.word not in self.vocab
         meta = {
             "task": task,
-            "unknown_word": entry.word not in self.vocab,
+            "unknown_word": unknown,
             "context_target_absent": entry.context_target_indices[0] is None,
-            "warnings": warnings,
+            "warnings": [f"entry {entry.entry_id}: word {entry.word!r} not in vocabulary, "
+                         "using the unknown-token vector"] if unknown else [],
         }
         return self.vocab.decode(ids), meta

@@ -104,8 +104,9 @@ def train(model, cfg: Config, train_entries, valid_entries,
     Stops after ``cfg.train.max_epochs`` epochs, once more than
     ``cfg.train.patience`` consecutive epochs fail to improve validation
     perplexity, or as soon as it drops to ``stop_ppl`` when one is given.
-    A non-finite loss aborts with the epoch, step, and batch entry ids; an
-    entry without the text of one of the model's tasks, before the first step.
+    A non-finite loss aborts with the epoch, step, and batch entry ids, a
+    non-finite validation score with the epoch; an entry without the text of
+    one of the model's tasks, before the first step.
     """
     train_entries = list(train_entries)
     valid_entries = list(valid_entries)
@@ -126,8 +127,12 @@ def train(model, cfg: Config, train_entries, valid_entries,
     def end_epoch(record) -> bool:
         nonlocal best_ppl, best_epoch, since_improve
         epoch = record["epoch"]
-        ppl = (perplexity(model, valid_entries, task="all") if valid_entries
-               else float("nan"))
+        try:
+            ppl = (perplexity(model, valid_entries, task="all") if valid_entries
+                   else float("nan"))
+        except NumericalError as exc:
+            raise TrainingError(
+                f"non-finite values in validation after epoch {epoch}: {exc}") from exc
         record["valid_ppl"] = ppl
         if not valid_entries or ppl < best_ppl:
             best_ppl, best_epoch, since_improve = ppl, epoch, 0

@@ -51,6 +51,22 @@ def trained(cfg_path, tmp_path_factory):
             "checkpoint": str(run / "model.npz")}
 
 
+# Overrides that make the first Adam step blow the parameters up to about
+# 1e300: finite, but overflowing as soon as the model runs again.
+ONE_HUGE_STEP = ["--override", "train.lr=1e300", "--override", "train.max_epochs=1",
+                 "--override", "train.batch_size=32"]
+
+
+@pytest.fixture(scope="module")
+def overflowing(cfg_path, tmp_path_factory):
+    """A single-kind checkpoint with no validation split, so no epoch ran
+    the model after its one huge step."""
+    out = tmp_path_factory.mktemp("overflowing")
+    assert main(["train", "--config", cfg_path, "--out-dir", str(out),
+                 "--override", "data.split_ratios=0.9,0,0.1"] + ONE_HUGE_STEP) == 0
+    return str(out / "model.npz")
+
+
 @pytest.fixture(scope="module")
 def warm_start(cfg_path, tmp_path_factory):
     """A warm-start file of the initial decoder branch at the micro config."""
@@ -189,6 +205,14 @@ class TestTrain:
                      "--override", "train.max_epochs=0"]) == 0
         assert not (out / "model.npz").exists()
         assert json.loads((out / "summary.json").read_text())["best_epoch"] == 0
+
+    def test_non_finite_validation_names_epoch(self, cfg_path, tmp_path, capsys):
+        # one step per epoch, so the first non-finite value shows in validation
+        with np.errstate(over="ignore"):
+            code = main(["train", "--config", cfg_path, "--out-dir", str(tmp_path),
+                         "--override", "model.kind=hier-du"] + ONE_HUGE_STEP)
+        assert code == 1
+        assert "non-finite values in validation after epoch 1" in capsys.readouterr().err
 
     def test_missing_out_dir_is_user_error(self, capsys):
         assert main(["train"]) == 1
@@ -338,6 +362,21 @@ class TestEvalAndGenerate:
         assert main(["eval", "--checkpoint", str(run / "model.npz"), "--manifest",
                      str(manifest), "--out-dir", str(tmp_path / "ev")]
                     + args("mini-032")) == 0
+
+    def test_eval_names_overflowing_checkpoint(self, cfg_path, overflowing, capsys):
+        with np.errstate(over="ignore"):
+            code = main(["eval", "--config", cfg_path, "--checkpoint", overflowing])
+        assert code == 1
+        assert f"{overflowing}: the checkpoint's parameters give non-finite" in (
+            capsys.readouterr().err)
+
+    def test_generate_names_overflowing_checkpoint(self, cfg_path, overflowing, capsys):
+        with np.errstate(over="ignore"):
+            code = main(["generate", "--config", cfg_path, "--checkpoint", overflowing,
+                         "--word", "check", "--context", "a check mark"])
+        assert code == 1
+        assert f"{overflowing}: the checkpoint's parameters give non-finite" in (
+            capsys.readouterr().err)
 
     def test_generate_usage_needs_multi_task_model(self, trained, capsys):
         code = main(["generate", "--config", trained["cfg"],
@@ -555,6 +594,39 @@ def test_any_config_value_exits_zero_or_one(tmp_path_factory, key, value):
     """Whatever a config key is set to, the CLI runs or reports a user error."""
     out = tmp_path_factory.getbasetemp() / "any-config-value"
     code = main(["data", "split", "--out-dir", str(out), "--override", f"{key}={value}"])
+    assert code in (0, 1)
+
+
+HIER_MICRO_CFG = """
+model.kind = hier-du
+model.d_w = 8
+model.d_h = 4
+model.d_s = 8
+model.d_attn = 8
+model.d_e = 8
+model.max_gen_len = 4
+train.max_epochs = 1
+"""
+
+EDGE_OVERRIDES = [
+    "model.max_context_len=1", "model.temperature=1e-320", "model.temperature=1e300",
+    "model.n_decoder_layers=1", "model.d_e=1", "model.d_attn=1",
+    "model.s0_variant=zeros", "model.gate_on=false",
+    "train.batch_size=100000", "train.clip_norm=1e-320", "train.clip_norm=1e300",
+    "train.eps=1e-320", "train.eps=1e300", "train.beta2=0", "train.patience=0",
+    "train.lr=1e-320", "train.lr=1e300",
+    "data.vocab_size=4", "data.split_ratios=0,0,1", "data.split_ratios=1,0,0",
+]
+
+
+@pytest.mark.parametrize("override", EDGE_OVERRIDES)
+def test_edge_config_value_trains_or_exits_one(tmp_path, override):
+    """Extreme values the validator accepts run through a whole train."""
+    cfg = tmp_path / "hier.cfg"
+    cfg.write_text(HIER_MICRO_CFG)
+    with np.errstate(over="ignore"):
+        code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+                     "--override", override])
     assert code in (0, 1)
 
 

@@ -58,7 +58,7 @@ class TestInitState:
     def test_zeros_variant_no_params(self):
         proj = self.make("zeros")
         assert proj.params() == {}
-        states = proj.init_state(None, None, batch=2)
+        states = proj.init_state(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
         assert len(states) == 2
         assert all(np.all(s.data == 0) and s.shape == (2, 5) for s in states)
 
@@ -93,6 +93,11 @@ class TestInitState:
         s1 = proj.init_state(Tensor(rng.normal(size=(1, 3))), c)
         s2 = proj.init_state(Tensor(rng.normal(size=(1, 3))), c)
         assert np.allclose(s1[0].data, s2[0].data)
+
+    def test_rows_must_match(self):
+        proj = self.make("zeros")
+        with pytest.raises(ShapeError, match="init_state"):
+            proj.init_state(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 4))))
 
     def test_unknown_variant(self):
         with pytest.raises(ShapeError):

@@ -80,36 +80,36 @@ def make_encoder(seed=0, vocab=11, d_w=6, d_h=5, max_len=64):
 class TestContextEncoder:
     def test_shapes(self):
         enc = make_encoder()
-        out = enc.encode([4, 5, 6, 7])
-        assert out.H.shape == (4, 10)
-        assert out.v_c.shape == (1, 10)
+        H, v_c = enc.encode([4, 5, 6, 7])
+        assert H.shape == (4, 10)
+        assert v_c.shape == (1, 10)
 
     def test_rows_are_fwd_bwd_concat(self):
         enc = make_encoder()
-        out = enc.encode([4, 5, 6])
+        H, _ = enc.encode([4, 5, 6])
         # forward half of row 0 equals a single forward step from zero state
         x0 = Tensor(enc.table.data[4:5])
         f0 = enc.fwd.run(enc.fwd.zero_state(1), x0)
-        assert np.allclose(out.H.data[0, :5], f0.data[0])
+        assert np.allclose(H.data[0, :5], f0.data[0])
         # backward half of the last row equals a single backward step
         x2 = Tensor(enc.table.data[6:7])
         b2 = enc.bwd.run(enc.bwd.zero_state(1), x2)
-        assert np.allclose(out.H.data[2, 5:], b2.data[0])
+        assert np.allclose(H.data[2, 5:], b2.data[0])
 
     def test_pooling_is_dimensionwise_max(self):
         enc = make_encoder(seed=3)
-        out = enc.encode([4, 5, 6, 7, 8])
-        assert np.array_equal(out.v_c.data[0], out.H.data.max(axis=0))
+        H, v_c = enc.encode([4, 5, 6, 7, 8])
+        assert np.array_equal(v_c.data[0], H.data.max(axis=0))
 
     def test_single_token_pooling_trivial(self):
         enc = make_encoder()
-        out = enc.encode([9])
-        assert np.array_equal(out.v_c.data[0], out.H.data[0])
+        H, v_c = enc.encode([9])
+        assert np.array_equal(v_c.data[0], H.data[0])
 
     def test_truncation(self):
         enc = make_encoder(max_len=3)
-        out = enc.encode([4, 5, 6, 7, 8, 9])
-        assert out.H.shape[0] == 3
+        H, _ = enc.encode([4, 5, 6, 7, 8, 9])
+        assert H.shape[0] == 3
 
     def test_empty_context_rejected(self):
         with pytest.raises(ShapeError):
@@ -119,8 +119,8 @@ class TestContextEncoder:
         enc = make_encoder(seed=5)
         from glossgen.autodiff import Tape, backward
         with Tape() as tape:
-            out = enc.encode([4, 5])
-            backward(tape, sum_all(mul(out.v_c, out.v_c)))
+            _, v_c = enc.encode([4, 5])
+            backward(tape, sum_all(mul(v_c, v_c)))
         assert np.any(enc.table.grad != 0)
 
 
@@ -191,8 +191,8 @@ class TestSenseAttention:
         point = [v_star] + list(params.values())
 
         def f(v_star, *rest):
-            out = enc.encode([4, 5, 6])
-            a_star, _ = attn.attend(v_star, out.H)
+            H, _ = enc.encode([4, 5, 6])
+            a_star, _ = attn.attend(v_star, H)
             return sum_all(mul(a_star, a_star))
 
         assert grad_check(f, point, coord_limit=6, seed=1) < 1e-3

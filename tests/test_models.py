@@ -51,7 +51,7 @@ def stepwise_nll(model, entries, task):
     ``_decode`` step at a time exactly as ``generate`` feeds its sampler."""
     total, count = 0.0, 0
     for e in entries:
-        features, s0, _ = model._condition([e])
+        features, s0 = model._condition([e])
         route = model._route(task)
         gold = model.vocab.encode(e.definition if task == "definition" else e.usage)
         gold.append(model.vocab.eos_id)
@@ -208,9 +208,11 @@ class TestForwardSingle:
     def test_unknown_word_warns_and_runs(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=3)
         e = entry(word="zebra", context=["a", "zebra", "runs"])
-        out = model.forward(e)
-        assert any("zebra" in w for w in out.warnings)
-        assert np.isfinite(out.nll["definition"][0])
+        assert np.isfinite(model.forward(e).nll["definition"][0])
+        _, meta = model.generate(e)
+        assert meta["unknown_word"]
+        assert meta["warnings"] == ["entry e1: word 'zebra' not in vocabulary, "
+                                    "using the unknown-token vector"]
 
     def test_batched_equals_sum_of_singles(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=4)
