@@ -30,7 +30,7 @@ print(f"parameters: {sum(t.data.size for t in model.params().values())}")
 # memorize the whole corpus; stop once it is essentially learned
 result = train(model, cfg, entries, entries, stop_ppl=1.08)
 print(f"stopped after {result.epochs_run} epochs, "
-      f"perplexity {perplexity(model, entries, task='all'):.3f}")
+      f"perplexity {perplexity(model, entries, model.tasks):.3f}")
 
 # one word, three senses: the context sentence selects the definition
 print("\n'check' against its three corpus contexts:")

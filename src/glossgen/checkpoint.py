@@ -118,7 +118,9 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     """Rebuild the model from a checkpoint. Returns (model, cfg, meta).
 
     A file-backed contextual provider is not stored in the checkpoint and
-    must be supplied by the caller when the run used one.
+    must be supplied by the caller when the run used one. Arrays that do not
+    fit the stored config, and a provider whose width does not, are a
+    CheckpointError naming the path.
     """
     meta, arrays = _read(path)
     cfg = _checked_header(path, meta)
@@ -132,8 +134,11 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
         raise CheckpointError(
             f"{path}: run used a {meta['contextual_kind']} contextual provider; "
             "supply it to load")
-    model = DefinitionModel(cfg.model, vocab, seed=meta["seed"], contextual=contextual)
-    model.load_state_arrays(arrays)
+    try:
+        model = DefinitionModel(cfg.model, vocab, seed=meta["seed"], contextual=contextual)
+        model.load_state_arrays(arrays)
+    except ShapeError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return model, cfg, meta
 
 

@@ -16,7 +16,9 @@ from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 
-from .autodiff import NumericalError, ShapeError
+import numpy as np
+
+from .autodiff import NumericalError
 from .checkpoint import CheckpointError, load_checkpoint, load_pretrained
 from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
                      config_digest, config_to_text, default_config,
@@ -36,7 +38,7 @@ ENV_DATA_DIR = "GLOSSGEN_DATA_DIR"
 # OSError covers unreadable paths; UnicodeError covers data files that are
 # not UTF-8 text.
 USER_ERRORS = (ConfigError, CorpusError, EmbeddingError, CheckpointError,
-               MetricsError, TrainingError, ShapeError, OSError, UnicodeError)
+               MetricsError, TrainingError, OSError, UnicodeError)
 
 
 class CliError(Exception):
@@ -310,6 +312,9 @@ def cmd_generate(args, cfg, run) -> int:
     if args.temperature is not None and not args.temperature > 0:
         raise CliError(f"--temperature must be positive, got {args.temperature}")
     model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
+    if args.task not in model.tasks:
+        raise CliError(f"{args.checkpoint}: a {model.cfg.kind} checkpoint has no "
+                       f"{args.task!r} task")
     for i, context in enumerate(args.context):
         entry = make_query_entry(args.word, context, entry_id=f"query-{i}")
         with _checkpoint_numerics(args.checkpoint):
@@ -472,7 +477,11 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = args.out_dir
             _prepare_out(out_dir, cfg, run)
         handler = COMMANDS[(args.command, getattr(args, "data_command", None))]
-        return handler(args, cfg, run)
+        # Every autodiff primitive checks its output for non-finite values
+        # (``autodiff._finish``) and raises the error that names the fault, so
+        # numpy's floating-point warnings would only print it once more, first.
+        with np.errstate(all="ignore"):
+            return handler(args, cfg, run)
     except (CliError, *USER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

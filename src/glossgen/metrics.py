@@ -97,17 +97,12 @@ def rouge_l(candidate, reference) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def perplexity(model, entries, task: str = "definition", batch_size: int = 16) -> float:
-    """exp(total teacher-forced NLL / total scored tokens, end marker included).
-
-    ``task`` "all" pools every task the model scores, weighted by token counts.
-    """
+def perplexity(model, entries, tasks=("definition",), batch_size: int = 16) -> float:
+    """exp(total teacher-forced NLL / total scored tokens, end marker included),
+    pooled over ``tasks`` and so weighted by their token counts."""
     entries = list(entries)
     if not entries:
         raise MetricsError("perplexity: empty corpus")
-    if task not in ("definition", "all"):
-        raise MetricsError(f"perplexity: unknown task {task!r}")
-    tasks = model.tasks if task == "all" else ("definition",)
     total, count = 0.0, 0
     for i in range(0, len(entries), batch_size):
         nll = model.forward_batch(entries[i:i + batch_size], tasks).nll
@@ -125,15 +120,16 @@ class PartitionScores:
 
 
 @dataclass
-class EvalReport:
-    entries: int
-    bleu: float
-    rouge: float
+class EvalReport(PartitionScores):
+    """The full test set's scores, with its perplexity and partitions."""
     ppl: float
     seen: PartitionScores
     unseen: PartitionScores
     usage_inclusion: float | None = None
     empty_candidates: int = 0
+
+    def partitions(self) -> list[tuple[str, PartitionScores]]:
+        return [("full", self), ("seen", self.seen), ("unseen", self.unseen)]
 
 
 def _entry_seed(run_seed: int, entry_id: str) -> int:
@@ -181,10 +177,8 @@ def evaluate(model, labeled_entries, temperature: float | None = None, seed: int
 
     full = scores(buckets["seen"] + buckets["unseen"])
     return EvalReport(
-        entries=len(labeled_entries),
-        bleu=full.bleu,
-        rouge=full.rouge,
-        ppl=perplexity(model, [e for e, _ in labeled_entries], task="definition"),
+        **vars(full),
+        ppl=perplexity(model, [e for e, _ in labeled_entries]),
         seen=scores(buckets["seen"]),
         unseen=scores(buckets["unseen"]),
         usage_inclusion=(inclusion_hits / len(labeled_entries)) if multi else None,
@@ -194,14 +188,9 @@ def evaluate(model, labeled_entries, temperature: float | None = None, seed: int
 
 def report_lines(report: EvalReport) -> list[str]:
     """Line-delimited JSON records, full precision, stable key order."""
-    rows = [
-        {"partition": "full", "entries": report.entries, "bleu": report.bleu,
-         "rouge_l": report.rouge, "ppl": report.ppl},
-        {"partition": "seen", "entries": report.seen.entries,
-         "bleu": report.seen.bleu, "rouge_l": report.seen.rouge},
-        {"partition": "unseen", "entries": report.unseen.entries,
-         "bleu": report.unseen.bleu, "rouge_l": report.unseen.rouge},
-    ]
+    rows = [{"partition": name, "entries": p.entries, "bleu": p.bleu, "rouge_l": p.rouge}
+            for name, p in report.partitions()]
+    rows[0]["ppl"] = report.ppl
     if report.usage_inclusion is not None:
         rows.append({"usage_inclusion": report.usage_inclusion})
     if report.empty_candidates:
@@ -211,15 +200,10 @@ def report_lines(report: EvalReport) -> list[str]:
 
 def format_report(report: EvalReport) -> str:
     """Human-readable table; scores printed x100 as is conventional."""
-    lines = [
-        f"{'partition':<10} {'entries':>7} {'bleu':>7} {'rouge-l':>8}",
-        f"{'full':<10} {report.entries:>7} {100 * report.bleu:>7.2f} {100 * report.rouge:>8.2f}",
-        f"{'seen':<10} {report.seen.entries:>7} {100 * report.seen.bleu:>7.2f} "
-        f"{100 * report.seen.rouge:>8.2f}",
-        f"{'unseen':<10} {report.unseen.entries:>7} {100 * report.unseen.bleu:>7.2f} "
-        f"{100 * report.unseen.rouge:>8.2f}",
-        f"perplexity {report.ppl:.4f}",
-    ]
+    lines = [f"{'partition':<10} {'entries':>7} {'bleu':>7} {'rouge-l':>8}"]
+    lines += [f"{name:<10} {p.entries:>7} {100 * p.bleu:>7.2f} {100 * p.rouge:>8.2f}"
+              for name, p in report.partitions()]
+    lines.append(f"perplexity {report.ppl:.4f}")
     if report.usage_inclusion is not None:
         lines.append(f"usage-inclusion-rate {report.usage_inclusion:.4f}")
     if report.empty_candidates:

@@ -303,13 +303,14 @@ class DefinitionModel:
     def forward(self, entry) -> ForwardOutput:
         return self.forward_batch([entry])
 
-    def lm_loss(self, token_seqs):
-        """Unconditional language-model loss over raw id sequences.
+    def lm_loss(self, token_seqs) -> ForwardOutput:
+        """Unconditional language-model scores of raw id sequences, as the
+        "definition" task.
 
         Used by decoder pre-training: every conditioning feature is a zero
         vector and all decoder layers start at zero, leaving only y_{t-1} live,
         so only the definition decoder, its gate, and the trainable special
-        embedding rows receive gradients. Returns (mean loss, total, count).
+        embedding rows receive gradients.
         """
         seqs = [list(s) for s in token_seqs]
         if not seqs or any(not s for s in seqs):
@@ -319,7 +320,9 @@ class DefinitionModel:
         features = [Tensor(np.zeros((batch, w))) for w in feature_widths(m)]
         s0 = [Tensor(np.zeros((batch, m.d_s))) for _ in range(m.n_decoder_layers)]
         # The bare definition route for every kind: no lower stack underneath.
-        return self._decode_loss((None, self.def_stack, self.def_gate), s0, features, seqs)
+        mean, total, count = self._decode_loss((None, self.def_stack, self.def_gate),
+                                               s0, features, seqs)
+        return ForwardOutput(loss=mean, nll={"definition": (total, count)})
 
     def pretrainable_params(self) -> dict[str, Tensor]:
         """Parameters that receive gradients in the zero-conditioned regime."""

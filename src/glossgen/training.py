@@ -46,11 +46,12 @@ def _log(fh, record: dict) -> None:
         fh.flush()
 
 
-def _fit(params, t, items, epochs: int, loss_of, where, log_path,
+def _fit(params, t, items, epochs: int, score, where, log_path,
          end_epoch=None) -> list[dict]:
     """The fit loop: Adam on minibatches of ``items``, reshuffled each epoch.
 
-    ``loss_of(batch)`` builds the scalar loss on the active tape and
+    ``score(batch)`` is the model's scorer (``forward_batch`` or
+    ``lm_loss``); its ``ForwardOutput.loss`` is built on the active tape, and
     ``where(epoch, step, batch)`` names the step in error messages. A
     non-finite loss or gradient norm aborts before Adam touches a parameter.
     Gradients are zeroed once here; after that ``adam_step`` applies the clip
@@ -71,7 +72,7 @@ def _fit(params, t, items, epochs: int, loss_of, where, log_path,
                 step += 1
                 try:
                     with Tape() as tape:
-                        loss = loss_of(batch)
+                        loss = score(batch).loss
                         backward(tape, loss)
                 except NumericalError as exc:
                     raise TrainingError(
@@ -128,7 +129,7 @@ def train(model, cfg: Config, train_entries, valid_entries,
         nonlocal best_ppl, best_epoch, since_improve
         epoch = record["epoch"]
         try:
-            ppl = (perplexity(model, valid_entries, task="all") if valid_entries
+            ppl = (perplexity(model, valid_entries, model.tasks) if valid_entries
                    else float("nan"))
         except NumericalError as exc:
             raise TrainingError(
@@ -146,9 +147,8 @@ def train(model, cfg: Config, train_entries, valid_entries,
                 return True
         return stop_ppl is not None and ppl <= stop_ppl
 
-    history = _fit(model.params(), t, train_entries, t.max_epochs,
-                   lambda batch: model.forward_batch(batch).loss, where, log_path,
-                   end_epoch)
+    history = _fit(model.params(), t, train_entries, t.max_epochs, model.forward_batch,
+                   where, log_path, end_epoch)
     return TrainResult(best_epoch=best_epoch, best_ppl=best_ppl,
                        epochs_run=len(history), history=history)
 
@@ -179,7 +179,7 @@ def pretrain_decoder(model, cfg: Config, sentences, out_path=None,
         raise TrainingError("pretrain: empty sentence corpus")
     t = cfg.train
     history = _fit(model.pretrainable_params(), t, sentences, t.pretrain_epochs,
-                   lambda batch: model.lm_loss(batch)[0],
+                   model.lm_loss,
                    lambda epoch, step, batch: f"pretrain epoch {epoch} step {step}",
                    log_path)
     if out_path is not None:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glossgen import checkpoint
+from glossgen.autodiff import ShapeError
 from glossgen.cli import main, resolve_data_path
 from glossgen.config import default_config
 from glossgen.data import load_corpus, split_by_sense
+from glossgen.models import DefinitionModel
 
 MICRO_CFG = """
 model.d_w = 8
@@ -208,9 +210,8 @@ class TestTrain:
 
     def test_non_finite_validation_names_epoch(self, cfg_path, tmp_path, capsys):
         # one step per epoch, so the first non-finite value shows in validation
-        with np.errstate(over="ignore"):
-            code = main(["train", "--config", cfg_path, "--out-dir", str(tmp_path),
-                         "--override", "model.kind=hier-du"] + ONE_HUGE_STEP)
+        code = main(["train", "--config", cfg_path, "--out-dir", str(tmp_path),
+                     "--override", "model.kind=hier-du"] + ONE_HUGE_STEP)
         assert code == 1
         assert "non-finite values in validation after epoch 1" in capsys.readouterr().err
 
@@ -364,16 +365,14 @@ class TestEvalAndGenerate:
                     + args("mini-032")) == 0
 
     def test_eval_names_overflowing_checkpoint(self, cfg_path, overflowing, capsys):
-        with np.errstate(over="ignore"):
-            code = main(["eval", "--config", cfg_path, "--checkpoint", overflowing])
+        code = main(["eval", "--config", cfg_path, "--checkpoint", overflowing])
         assert code == 1
         assert f"{overflowing}: the checkpoint's parameters give non-finite" in (
             capsys.readouterr().err)
 
     def test_generate_names_overflowing_checkpoint(self, cfg_path, overflowing, capsys):
-        with np.errstate(over="ignore"):
-            code = main(["generate", "--config", cfg_path, "--checkpoint", overflowing,
-                         "--word", "check", "--context", "a check mark"])
+        code = main(["generate", "--config", cfg_path, "--checkpoint", overflowing,
+                     "--word", "check", "--context", "a check mark"])
         assert code == 1
         assert f"{overflowing}: the checkpoint's parameters give non-finite" in (
             capsys.readouterr().err)
@@ -384,7 +383,19 @@ class TestEvalAndGenerate:
                      "--word", "check", "--context", "a check mark",
                      "--task", "usage"])
         assert code == 1
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert trained["checkpoint"] in err and "single" in err and "usage" in err
+
+    def test_shape_fault_inside_a_command_is_internal(self, trained, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ShapeError("attention: v* must be (1, 8), got (2, 8)")
+
+        monkeypatch.setattr(DefinitionModel, "generate", broken)
+        code = main(["generate", "--config", trained["cfg"],
+                     "--checkpoint", trained["checkpoint"],
+                     "--word", "check", "--context", "a check mark"])
+        assert code == 2
+        assert "internal error: ShapeError" in capsys.readouterr().err
 
 
 class TestMalformedInputFiles:
@@ -445,6 +456,22 @@ class TestMalformedInputFiles:
             path = warm_start
         self.run(["generate", "--config", trained["cfg"], "--checkpoint", str(path),
                   "--word", "check", "--context", "a check mark"], path, capsys)
+
+    def test_checkpoint_missing_array(self, trained, tmp_path, capsys):
+        path = tmp_path / "broken.npz"
+        meta, arrays = checkpoint._read(trained["checkpoint"])
+        del arrays["def.W_d"]
+        checkpoint._write(path, meta, arrays)
+        self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(path)],
+                 path, capsys)
+
+    def test_contextual_file_narrower_than_checkpoint(self, trained, tmp_path, capsys):
+        entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
+        vectors = tmp_path / "vec4.txt"
+        vectors.write_text("".join(f"{e.entry_id} 0.1 0.2 0.3 0.4\n" for e in entries))
+        self.run(["eval", "--config", trained["cfg"], "--checkpoint", trained["checkpoint"],
+                  "--override", f"data.contextual_file={vectors}",
+                  "--override", "model.d_e=4"], trained["checkpoint"], capsys)
 
     def test_eval_rejects_warm_start_file(self, trained, warm_start, capsys):
         self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(warm_start)],
@@ -624,9 +651,8 @@ def test_edge_config_value_trains_or_exits_one(tmp_path, override):
     """Extreme values the validator accepts run through a whole train."""
     cfg = tmp_path / "hier.cfg"
     cfg.write_text(HIER_MICRO_CFG)
-    with np.errstate(over="ignore"):
-        code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
-                     "--override", override])
+    code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+                 "--override", override])
     assert code in (0, 1)
 
 

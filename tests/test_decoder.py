@@ -250,14 +250,14 @@ class TestSequenceLogProb:
         model = lm_model()
         model.def_stack._params["def.W_d"].data[...] = 0.0
         model.def_stack._params["def.b_d"].data[...] = 0.0
-        _, total, count = model.lm_loss([[4, 5, 6]])
+        total, count = model.lm_loss([[4, 5, 6]]).nll["definition"]
         assert count == 3 + 1
         assert abs(total - (3 + 1) * np.log(8)) < 1e-12
 
     def test_matches_per_step_recomputation(self):
         model = lm_model(seed=7)
         seq = [4, 7, 5]
-        _, total, _ = model.lm_loss([seq])
+        total, _ = model.lm_loss([seq]).nll["definition"]
         route = (None, model.def_stack, model.def_gate)
         zeros = lambda n: Tensor(np.zeros((1, n)))  # noqa: E731
         states = ([zeros(8), zeros(8)], [zeros(8), zeros(8)])
@@ -276,8 +276,7 @@ class TestSequenceLogProb:
         model = lm_model()
         w_d = model.def_stack.params()["def.W_d"]
         with Tape() as tape:
-            mean, _, _ = model.lm_loss([[4]])
-            backward(tape, mean)
+            backward(tape, model.lm_loss([[4]]).loss)
         assert np.any(w_d.grad != 0)
 
 

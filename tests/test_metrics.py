@@ -282,3 +282,35 @@ class TestEvaluate:
         assert "perplexity" in table and "full" in table
         lines = M.report_lines(report)
         assert all(isinstance(line, str) for line in lines)
+
+
+class TestReportLayout:
+    """The bytes of report.txt and report.jsonl for a hand-built multi-task
+    report, recorded before the full set's scores became the report itself."""
+
+    REPORT = M.EvalReport(
+        entries=5, bleu=0.2, rouge=0.26, ppl=12.345678901,
+        seen=M.PartitionScores(entries=2, bleu=0.5, rouge=1 / 3),
+        unseen=M.PartitionScores(entries=3, bleu=0.0, rouge=0.21333333333333335),
+        usage_inclusion=0.4, empty_candidates=1)
+
+    def test_table(self):
+        assert M.format_report(self.REPORT) == (
+            "partition  entries    bleu  rouge-l\n"
+            "full             5   20.00    26.00\n"
+            "seen             2   50.00    33.33\n"
+            "unseen           3    0.00    21.33\n"
+            "perplexity 12.3457\n"
+            "usage-inclusion-rate 0.4000\n"
+            "empty-candidates 1\n")
+
+    def test_json_lines(self):
+        assert M.report_lines(self.REPORT) == [
+            '{"bleu": 0.2, "entries": 5, "partition": "full", "ppl": 12.345678901, '
+            '"rouge_l": 0.26}',
+            '{"bleu": 0.5, "entries": 2, "partition": "seen", "rouge_l": 0.3333333333333333}',
+            '{"bleu": 0.0, "entries": 3, "partition": "unseen", '
+            '"rouge_l": 0.21333333333333335}',
+            '{"usage_inclusion": 0.4}',
+            '{"empty_candidates": 1}',
+        ]

@@ -76,7 +76,7 @@ def test_tape_shape_loss_and_grad_norm(case):
     zero_grads(params)
     with Tape() as tape:
         if case == "lm_loss":
-            loss, _, _ = model.lm_loss([[4, 5, 6], [7, 8]])
+            loss = model.lm_loss([[4, 5, 6], [7, 8]]).loss
         else:
             loss = model.forward_batch(ENTRIES).loss
         backward(tape, loss)

@@ -106,30 +106,31 @@ class TestValidationPpl:
         entries = corpus(with_usage=True)
         (d_total, d_count), (u_total, u_count) = model.forward_batch(entries).nll.values()
         expected = np.exp((d_total + u_total) / (d_count + u_count))
-        assert perplexity(model, entries, task="all") == pytest.approx(expected, rel=1e-12)
+        assert perplexity(model, entries, model.tasks) == pytest.approx(expected, rel=1e-12)
 
     def test_single_kind_uses_definition_only(self):
         model = build(seed=1)
         entries = corpus()
         total, count = model.forward_batch(entries).nll["definition"]
         expected = np.exp(total / count)
-        assert perplexity(model, entries, task="all") == pytest.approx(expected, rel=1e-12)
+        assert perplexity(model, entries, model.tasks) == pytest.approx(expected, rel=1e-12)
 
     def test_batch_size_does_not_change_result(self):
         model = build(seed=2)
         entries = corpus()
-        a = perplexity(model, entries, task="all", batch_size=3)
-        b = perplexity(model, entries, task="all", batch_size=8)
+        a = perplexity(model, entries, model.tasks, batch_size=3)
+        b = perplexity(model, entries, model.tasks, batch_size=8)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_empty_corpus_rejected(self):
+        model = build()
         with pytest.raises(MetricsError, match="empty"):
-            perplexity(build(), [], task="all")
+            perplexity(model, [], model.tasks)
 
     @pytest.mark.parametrize("kind", sorted(PINNED_VALID_PPL))
     def test_pinned(self, kind):
         model = build(seed=1, kind=kind, char_on=True, contextual_on=True)
-        got = tuple(perplexity(model, corpus(with_usage=True), task="all", batch_size=b)
+        got = tuple(perplexity(model, corpus(with_usage=True), model.tasks, batch_size=b)
                     for b in (1, 2))
         assert got == PINNED_VALID_PPL[kind]
 
@@ -198,7 +199,7 @@ class TestTrainLoop:
         valid = corpus()[:4]
         result = train(build(seed=1), cfg, corpus(), valid, checkpoint_path=path)
         loaded, _, meta = load_checkpoint(path)
-        assert perplexity(loaded, valid, task="all") == pytest.approx(result.best_ppl, abs=1e-9)
+        assert perplexity(loaded, valid, loaded.tasks) == pytest.approx(result.best_ppl, abs=1e-9)
         assert meta["best_epoch"] == result.best_epoch
 
     def test_frozen_table_never_moves(self):
@@ -311,7 +312,7 @@ class TestOptimizerPass:
         pretrain_decoder(model, cfg, sentences, log_path=log)
         steps = [r for r in read_log(log) if "step" in r]
         ref = reference_fit(ref_model.pretrainable_params(), cfg.train, sentences, 2,
-                            lambda batch: ref_model.lm_loss(batch)[0])
+                            lambda batch: ref_model.lm_loss(batch).loss)
         self.assert_matches(model.pretrainable_params(), adam_states[0], steps,
                             ref_model.pretrainable_params(), ref)
 
@@ -391,8 +392,8 @@ class TestPretrain:
         dst = DefinitionModel(micro_cfg(), vocab, seed=11, pretrained_matrix=shared)
         load_pretrained(path, dst)
         seqs = lm_sentences(vocab)[:3]
-        _, src_total, _ = src.lm_loss(seqs)
-        _, dst_total, _ = dst.lm_loss(seqs)
+        src_total, _ = src.lm_loss(seqs).nll["definition"]
+        dst_total, _ = dst.lm_loss(seqs).nll["definition"]
         assert src_total == pytest.approx(dst_total, rel=1e-12)
 
     def test_width_mismatch_rejected_on_warm_start(self, tmp_path):
