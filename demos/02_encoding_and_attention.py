@@ -26,20 +26,21 @@ model = DefinitionModel(cfg, vocab, seed=0)
 
 # character n-gram features exist independently of the corpus
 chars = CharEncoder(np.random.default_rng(0))
-feat = chars.encode("check")
-print(f"char features for 'check': shape {feat.data.shape}")
+feat = chars.encode(["check", "bank"])
+print(f"char features for 'check' and 'bank': shape {feat.data.shape}")
 
-# the encoder runs a bidirectional recurrence over the context sentence
-ctx = tokenize("she went to the bank to deposit a check")
-H, v_c = model.encoder.encode(vocab.encode(ctx))
-print(f"encoded {len(ctx)} tokens -> H {H.data.shape}, summary {v_c.data.shape}")
+# the encoder runs a bidirectional recurrence over a batch of context
+# sentences at once; H stacks each sentence's states, one block after another
+ctxs = [tokenize("she went to the bank to deposit a check"), tokenize("check the oil")]
+H, v_c, lengths = model.encoder.encode([vocab.encode(c) for c in ctxs])
+print(f"encoded {lengths} tokens -> H {H.data.shape}, summaries {v_c.data.shape}")
 
 
 def show_attention(word, sentence):
     toks = tokenize(sentence)
     v_star = embedding_lookup(model.embedding.frozen, vocab.encode([word]))
-    H, _ = model.encoder.encode(vocab.encode(toks))
-    _, weights = model.attention.attend(v_star, H)
+    H, _, lengths = model.encoder.encode([vocab.encode(toks)])
+    _, weights = model.attention.attend(v_star, H, lengths)
     print(f"\nattention for {word!r} in: {sentence}")
     order = np.argsort(-weights.data.ravel())
     for i in order[:4]:

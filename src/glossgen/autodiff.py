@@ -602,10 +602,14 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
+    """The L2 norm of all gradients together. Each gradient's sum of squares
+    is one einsum over its flat view: no squared temporary, and unlike a BLAS
+    dot its value does not depend on the BLAS thread count."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            g = p.grad.ravel()
+            total += float(np.einsum("i,i->", g, g))
     return float(np.sqrt(total))
 
 

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, conv1d, embedding_lookup, matmul, max_over_axis, mul, one_minus, sigmoid, tanh
+from .autodiff import Tensor, add, concat, conv1d, embedding_lookup, matmul, max_over_axis, mul, one_minus, sigmoid, slice_axis, tanh
 from .data import SPECIALS
 
 CHAR_EMB_DIM = 20
@@ -98,7 +98,8 @@ def load_word_embeddings(path, vocab, seed: int, dim: int | None = None):
 class CharEncoder:
     """Char-CNN word features: widths 2..6, tanh, max-over-time, 2 highway layers.
 
-    Output is a (1, 160) row, deterministic per word given the parameters.
+    Output is one 160-wide row per word, deterministic per word given the
+    parameters.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -121,24 +122,44 @@ class CharEncoder:
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def encode(self, word: str) -> Tensor:
-        if not word:
+    def encode(self, words) -> Tensor:
+        """Features of a batch of words, a (len(words), 160) matrix.
+
+        Each distinct word is encoded once (Kim et al. 2016): every word is
+        padded with the boundary char to the longest, and to at least the
+        widest filter, and all of them run through each convolution as one
+        sequence, word after word. A word's max-over-time reads only the
+        windows within its first max(len, 6) chars, the padding it would get
+        alone, so its features do not depend on the rest of the batch. The
+        highway layers run once over the distinct words; one lookup then
+        gives each word its row.
+        """
+        words = list(words)
+        if not words or not all(words):
             raise EmbeddingError("char encoder: empty word")
-        ids = [CHAR_IDS.get(c, UNK_CHAR_ID) for c in word]
-        ids += [BOUNDARY_CHAR_ID] * (max(CONV_WIDTHS) - len(ids))
+        distinct = list(dict.fromkeys(words))
+        spans = [max(len(w), max(CONV_WIDTHS)) for w in distinct]
+        width = max(spans)
+        ids = np.full((len(distinct), width), BOUNDARY_CHAR_ID, dtype=np.intp)
+        for i, w in enumerate(distinct):
+            ids[i, :len(w)] = [CHAR_IDS.get(c, UNK_CHAR_ID) for c in w]
         p = self._params
-        emb = embedding_lookup(p["char.table"], ids)  # (L, 20)
+        emb = embedding_lookup(p["char.table"], ids.reshape(-1))  # (words*width, 20)
         pieces = []
         for w in CONV_WIDTHS:
             feat = conv1d(emb, p[f"char.conv{w}.kernel"])
             feat = tanh(add(feat, p[f"char.conv{w}.bias"]))
-            pieces.append(max_over_axis(feat, axis=0, keepdims=True))  # (1, n_w)
-        x = concat(pieces, axis=1)  # (1, 160)
+            pieces.append(concat([max_over_axis(slice_axis(feat, 0, i * width,
+                                                           i * width + span - w + 1),
+                                                axis=0, keepdims=True)
+                                  for i, span in enumerate(spans)], axis=0))  # (words, n_w)
+        x = concat(pieces, axis=1)  # (words, 160)
         for layer in range(HIGHWAY_LAYERS):
             t = sigmoid(add(matmul(x, p[f"char.hw{layer}.W_T"]), p[f"char.hw{layer}.b_T"]))
             g = tanh(add(matmul(x, p[f"char.hw{layer}.W_H"]), p[f"char.hw{layer}.b_H"]))
             x = add(mul(t, g), mul(one_minus(t), x))
-        return x
+        row = {w: i for i, w in enumerate(distinct)}
+        return embedding_lookup(x, [row[w] for w in words])
 
 
 class ContextualProvider:

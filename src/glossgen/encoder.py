@@ -68,26 +68,33 @@ class GruCell:
         cand = tanh(add(xh, matmul(mul(r, h_prev), p[f"{pre}.U_h"])))
         return add(mul(one_minus(z), h_prev), mul(z, cand))
 
-    def run(self, h0: Tensor, x: Tensor, reverse: bool = False) -> Tensor:
+    def run(self, h0: Tensor, x: Tensor, reverse: bool = False, mask=None) -> Tensor:
         """Run over a whole sequence given as time-major rows of x (row
         t*B + b is step t of sequence b, B = rows of h0). The inputs are
         projected in one matmul per gate; returns the states in x's rows.
-        A one-step call is ``advance(h0, project(x))``, with no row slicing."""
+        A one-step call is ``advance(h0, project(x))``, with no row slicing.
+
+        ``mask``, a (steps, B) array of ones and zeros, holds a row's state
+        where it is 0: h = m * h_new + (1 - m) * h_prev, applied only at the
+        steps that hold a 0. A batch of sequences of unequal lengths, padded
+        after each, runs in reverse with the pads masked, so each sequence
+        starts from h0 at its own last step."""
         batch = h0.shape[0]
         steps = x.shape[0] // batch
         if steps * batch != x.shape[0] or steps == 0:
             raise ShapeError(f"{self.prefix}: {x.shape[0]} input rows do not split "
                              f"into steps of {batch}")
         proj = self.project(x)
-        if steps == 1:
-            return self.advance(h0, proj)
         states: list[Tensor | None] = [None] * steps
         h = h0
         for t in (reversed(range(steps)) if reverse else range(steps)):
-            h = self.advance(h, [slice_axis(p, 0, t * batch, (t + 1) * batch)
-                                 for p in proj])
-            states[t] = h
-        return concat(states, axis=0)
+            h_new = self.advance(h, proj if steps == 1 else
+                                 [slice_axis(p, 0, t * batch, (t + 1) * batch) for p in proj])
+            if mask is not None and not mask[t].all():
+                keep = np.repeat(mask[t][:, None], self.hidden_dim, axis=1)
+                h_new = add(mul(h_new, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
+            h = states[t] = h_new
+        return h if steps == 1 else concat(states, axis=0)
 
     def zero_state(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.hidden_dim)))
@@ -114,23 +121,49 @@ class ContextEncoder:
         out.update(self.bwd.params())
         return out
 
-    def encode(self, token_ids) -> tuple[Tensor, Tensor]:
-        """Returns (H (m, 2*d_h), v_c (1, 2*d_h)): row i of H is [forward
-        state ; backward state] at token i, v_c the dimension-wise max over H."""
-        ids = list(token_ids)[: self.max_len]
-        if not ids:
+    def encode(self, contexts) -> tuple[Tensor, Tensor, list[int]]:
+        """One bidirectional pass over a batch of contexts (id lists).
+
+        Returns (H (sum L, 2*d_h), v_c (B, 2*d_h), lengths): H holds each
+        context's rows [forward state ; backward state], context after
+        context; row b of v_c is the dimension-wise max over context b's rows;
+        ``lengths`` are the row counts L of H's blocks.
+
+        The contexts run as one time-major batch, each padded after its
+        tokens to the longest. A forward state at a pad depends only on what
+        came before it and is never read; the reverse direction meets the
+        pads first, so its mask holds those rows at the zero state until each
+        context's own last token. One lookup then gathers the states of the
+        real tokens, so no pad row reaches H or its max-pool.
+        """
+        ids = [list(c)[: self.max_len] for c in contexts]
+        if not ids or not all(ids):
             raise ShapeError("context encoder: empty context")
-        emb = embedding_lookup(self.table, ids)  # (m, d_w)
-        h0 = self.fwd.zero_state(1)
-        H = concat([self.fwd.run(h0, emb), self.bwd.run(h0, emb, reverse=True)], axis=1)
-        return H, max_over_axis(H, axis=0, keepdims=True)
+        lengths = [len(c) for c in ids]
+        batch, steps = len(ids), max(lengths)
+        grid = np.zeros((steps, batch), dtype=np.intp)  # a pad reads table row 0
+        for b, c in enumerate(ids):
+            grid[:len(c), b] = c
+        mask = (np.arange(steps)[:, None] < np.array(lengths)).astype(float)
+        emb = embedding_lookup(self.table, grid.reshape(-1))  # (steps*B, d_w)
+        h0 = self.fwd.zero_state(batch)
+        states = concat([self.fwd.run(h0, emb),
+                         self.bwd.run(h0, emb, reverse=True, mask=mask)], axis=1)
+        H = embedding_lookup(states, [t * batch + b for b, n in enumerate(lengths)
+                                      for t in range(n)])
+        ends = np.cumsum(lengths)
+        v_c = concat([max_over_axis(slice_axis(H, 0, end - n, end), axis=0, keepdims=True)
+                      for n, end in zip(lengths, ends)], axis=0)
+        return H, v_c, lengths
 
 
 class SenseAttention:
-    """Scaled dot-product readout of the target sense from the context states.
+    """Scaled dot-product readout of each entry's sense from its context states.
 
-    Q = v* W_Q (1 x d), K = H W_K (m x d), V = H W_V (m x d),
-    weights = softmax(Q K^T / sqrt(d)), output = (weights V) W_O, a (1 x d_w) row.
+    Q = v* W_Q (B x d), K = H W_K (sum L x d), V = H W_V (sum L x d),
+    weights = softmax(Q K^T / sqrt(d) + bias), output = (weights V) W_O, a
+    (B x d_w) matrix. The bias is 0 on each query's own block of H and -1e30
+    elsewhere: finite, yet its weights there come out exactly 0.
     """
 
     def __init__(self, rng: np.random.Generator, d_w: int, d_ctx: int, d_attn: int):
@@ -147,17 +180,24 @@ class SenseAttention:
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def attend(self, v_star: Tensor, H: Tensor) -> tuple[Tensor, Tensor]:
-        """Returns (a_star (1, d_w), weights (1, m))."""
-        if v_star.shape != (1, self.d_w):
-            raise ShapeError(f"attention: v* must be (1, {self.d_w}), got {v_star.shape}")
-        if H.shape[-1] != self.d_ctx:
-            raise ShapeError(f"attention: H must have {self.d_ctx} columns, got {H.shape}")
+    def attend(self, v_star: Tensor, H: Tensor, lengths) -> tuple[Tensor, Tensor]:
+        """Returns (a_star (B, d_w), weights (B, sum L)) for B queries, where
+        query b attends to the b-th block of ``lengths`` rows of H."""
+        if v_star.shape != (len(lengths), self.d_w):
+            raise ShapeError(f"attention: v* must be ({len(lengths)}, {self.d_w}), "
+                             f"got {v_star.shape}")
+        if H.shape != (sum(lengths), self.d_ctx) or min(lengths) < 1:
+            raise ShapeError(f"attention: H must be blocks of {lengths} rows with "
+                             f"{self.d_ctx} columns, got {H.shape}")
         p = self._params
         q = matmul(v_star, p["attn.W_Q"])
         k = matmul(H, p["attn.W_K"])
         v = matmul(H, p["attn.W_V"])
         scores = scale(matmul(q, k, transpose_b=True), 1.0 / np.sqrt(self.d_attn))
+        if len(lengths) > 1:
+            block = np.repeat(np.arange(len(lengths)), lengths)
+            outside = block != np.arange(len(lengths))[:, None]
+            scores = add(scores, Tensor(np.where(outside, -1e30, 0.0)))
         weights = softmax(scores, axis=1)
         a_star = matmul(matmul(weights, v), p["attn.W_O"])
         return a_star, weights

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, slice_axis, sum_all
+from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, sum_all
 from .config import MULTI_KINDS, ModelConfig
 from .data import SPECIALS, Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, GatedInputBuilder, InitStateProjector, sample_sequence
@@ -189,29 +189,27 @@ class DefinitionModel:
 
     def _condition(self, entries):
         """(features, s0) for a batch: ``features`` is [a*, c*, e*], one row per
-        entry, with c* and e* only when that feature is on. Only context
-        encoding, attention and char features are built entry by entry; the
-        headword rows v* and e* come from constant tables and record no node."""
-        v_star = embedding_lookup(self.embedding.frozen,
-                                  self.vocab.encode([e.word for e in entries]))
-        rows_a, rows_vc, rows_c = [], [], []
-        for i, e in enumerate(entries):
+        entry, with c* and e* only when that feature is on.
+
+        One pass serves the whole batch: the encoder runs every entry's first
+        context as one padded, masked batch, the attention reads each entry's
+        own block of context states, and the char CNN encodes each distinct
+        headword once. The headword rows v* and e* come from constant tables
+        and record no node."""
+        for e in entries:
             if not e.contexts:
                 raise ShapeError(f"entry {e.entry_id}: no context sentence")
-            H, v_c = self.encoder.encode(self.vocab.encode(e.contexts[0]))
-            rows_a.append(self.attention.attend(slice_axis(v_star, 0, i, i + 1), H)[0])
-            rows_vc.append(v_c)
-            if self.char_encoder is not None:
-                rows_c.append(self.char_encoder.encode(e.word))
-
-        def cat(rows):
-            return rows[0] if len(rows) == 1 else concat(rows, axis=0)
-
-        features = [cat(rows) for rows in (rows_a, rows_c) if rows]
+        words = [e.word for e in entries]
+        v_star = embedding_lookup(self.embedding.frozen, self.vocab.encode(words))
+        H, v_c, lengths = self.encoder.encode([self.vocab.encode(e.contexts[0])
+                                               for e in entries])
+        features = [self.attention.attend(v_star, H, lengths)[0]]
+        if self.char_encoder is not None:
+            features.append(self.char_encoder.encode(words))
         if self.cfg.contextual_on:
             features.append(Tensor(np.stack([self.contextual.embed_for_entry(e)
                                              for e in entries])))
-        return features, self.init_proj.init_state(v_star, cat(rows_vc))
+        return features, self.init_proj.init_state(v_star, v_c)
 
     # -- decoding -----------------------------------------------------------
 

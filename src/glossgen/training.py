@@ -107,7 +107,9 @@ def train(model, cfg: Config, train_entries, valid_entries,
     perplexity, or as soon as it drops to ``stop_ppl`` when one is given.
     A non-finite loss aborts with the epoch, step, and batch entry ids, a
     non-finite validation score with the epoch; an entry without the text of
-    one of the model's tasks, before the first step.
+    one of the model's tasks, before the first step. Without validation
+    entries, each epoch's parameters score one training batch before they
+    are kept, and a non-finite value there aborts with the epoch.
     """
     train_entries = list(train_entries)
     valid_entries = list(valid_entries)
@@ -129,11 +131,17 @@ def train(model, cfg: Config, train_entries, valid_entries,
         nonlocal best_ppl, best_epoch, since_improve
         epoch = record["epoch"]
         try:
-            ppl = (perplexity(model, valid_entries, model.tasks) if valid_entries
-                   else float("nan"))
+            if valid_entries:
+                ppl = perplexity(model, valid_entries, model.tasks)
+            else:
+                # nothing else runs the stepped parameters before they are
+                # kept: score one training batch so an overflow shows here
+                model.forward_batch(train_entries[:t.batch_size])
+                ppl = float("nan")
         except NumericalError as exc:
+            part = "validation" if valid_entries else "a training batch"
             raise TrainingError(
-                f"non-finite values in validation after epoch {epoch}: {exc}") from exc
+                f"non-finite values in {part} after epoch {epoch}: {exc}") from exc
         record["valid_ppl"] = ppl
         if not valid_entries or ppl < best_ppl:
             best_ppl, best_epoch, since_improve = ppl, epoch, 0

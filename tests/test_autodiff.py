@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import glossgen
 from glossgen import autodiff as ad
 from glossgen.autodiff import (
     AdamState,
@@ -429,6 +435,36 @@ class TestAdam:
         assert abs(pre - 5.0) < 1e-12
         post = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
         assert abs(post - 1.0) < 1e-12
+
+    def test_global_grad_norm_same_bits_at_one_and_two_blas_threads(self):
+        # Criterion 8 and the perfbench references must not depend on the CPU
+        # count, so the norm's last bits must not move with the BLAS threads.
+        # A BLAS dot of a 300k-element gradient moves in its last bits with
+        # the thread count for most of these seeds.
+        script = (
+            "import numpy as np\n"
+            "from glossgen.autodiff import Tensor, global_grad_norm\n"
+            "for seed in range(8):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    params = {}\n"
+            "    for i, shape in enumerate([(1000, 300), (300,), (7, 3, 5)]):\n"
+            "        params[i] = Tensor(np.zeros(shape), requires_grad=True)\n"
+            "        params[i].grad[...] = rng.normal(size=shape)\n"
+            "    ref = np.sqrt(sum((t.grad * t.grad).sum() for t in params.values()))\n"
+            "    print(global_grad_norm(params).hex(), float(ref).hex())\n")
+        src = str(Path(glossgen.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            runs.append([[float.fromhex(v) for v in line.split()]
+                         for line in out.splitlines()])
+        assert len(runs[0]) == 8
+        for (norm_1, ref), (norm_2, _) in zip(*runs):
+            assert norm_1.hex() == norm_2.hex()
+            assert abs(norm_1 - ref) <= 1e-12 * ref
 
     def test_clip_below_threshold_untouched(self):
         a = Tensor([1.0], requires_grad=True)

@@ -61,12 +61,18 @@ ONE_HUGE_STEP = ["--override", "train.lr=1e300", "--override", "train.max_epochs
 
 @pytest.fixture(scope="module")
 def overflowing(cfg_path, tmp_path_factory):
-    """A single-kind checkpoint with no validation split, so no epoch ran
-    the model after its one huge step."""
+    """A single-kind checkpoint whose parameters sit at 1e300, as one huge
+    step leaves them: finite, but overflowing as soon as the model runs.
+    ``train`` refuses to keep such an epoch, so the file is written here."""
     out = tmp_path_factory.mktemp("overflowing")
     assert main(["train", "--config", cfg_path, "--out-dir", str(out),
-                 "--override", "data.split_ratios=0.9,0,0.1"] + ONE_HUGE_STEP) == 0
-    return str(out / "model.npz")
+                 "--override", "train.max_epochs=1"]) == 0
+    path = str(out / "model.npz")
+    model, cfg, meta = checkpoint.load_checkpoint(path)
+    for tensor in model.params().values():
+        tensor.data[...] = 1e300
+    checkpoint.save_checkpoint(path, model, cfg, extra_meta=meta)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +220,19 @@ class TestTrain:
                      "--override", "model.kind=hier-du"] + ONE_HUGE_STEP)
         assert code == 1
         assert "non-finite values in validation after epoch 1" in capsys.readouterr().err
+
+    def test_overflowing_step_without_validation_keeps_no_checkpoint(self, cfg_path, tmp_path,
+                                                                      capsys):
+        # With no validation split nothing else runs the stepped parameters
+        # before they would be saved.
+        code = main(["train", "--config", cfg_path, "--out-dir", str(tmp_path),
+                     "--override", "model.kind=single",
+                     "--override", "data.split_ratios=0.9,0,0.1"] + ONE_HUGE_STEP)
+        assert code == 1
+        assert ("non-finite values in a training batch after epoch 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "model.npz").exists()
+        assert (tmp_path / "FAILED").exists()
 
     def test_missing_out_dir_is_user_error(self, capsys):
         assert main(["train"]) == 1

@@ -79,7 +79,7 @@ class TestWordEmbeddings:
         params = enc.params()
         assert params["enc.table"] is enc.table
         with Tape() as tape:
-            _, v_c = enc.encode([4, 5])
+            _, v_c, _ = enc.encode([[4, 5]])
             backward(tape, sum_all(mul(v_c, v_c)))
         before = enc.table.data.copy()
         adam_step(params, AdamState(lr=0.01))
@@ -90,29 +90,31 @@ class TestCharEncoder:
     def test_output_dim_160(self):
         enc = E.CharEncoder(np.random.default_rng(0))
         for word in ["a", "like", "dislike", "extraordinarily"]:
-            out = enc.encode(word)
+            out = enc.encode([word])
             assert out.shape == (1, 160)
 
     def test_deterministic_per_word(self):
         enc = E.CharEncoder(np.random.default_rng(0))
-        a = enc.encode("check").data
-        b = enc.encode("check").data
+        a = enc.encode(["check"]).data
+        b = enc.encode(["check"]).data
         assert np.array_equal(a, b)
 
     def test_different_words_differ(self):
         enc = E.CharEncoder(np.random.default_rng(0))
-        a = enc.encode("like").data
-        b = enc.encode("dislike").data
+        a = enc.encode(["like"]).data
+        b = enc.encode(["dislike"]).data
         assert not np.allclose(a, b)
 
     def test_empty_word_rejected(self):
         enc = E.CharEncoder(np.random.default_rng(0))
         with pytest.raises(E.EmbeddingError):
-            enc.encode("")
+            enc.encode([""])
+        with pytest.raises(E.EmbeddingError):
+            enc.encode(["word", ""])
 
     def test_unknown_chars_fall_back(self):
         enc = E.CharEncoder(np.random.default_rng(0))
-        out = enc.encode("naïve")
+        out = enc.encode(["naïve"])
         assert out.shape == (1, 160)
 
     def test_carry_only_highway_is_identity(self):
@@ -120,7 +122,7 @@ class TestCharEncoder:
         # transform gate forced shut: t ~ 0 so each highway layer passes input
         for layer in range(E.HIGHWAY_LAYERS):
             enc._params[f"char.hw{layer}.b_T"].data[...] = -1e3
-        with_gates = enc.encode("check").data
+        with_gates = enc.encode(["check"]).data
 
         pieces = []
         p = enc._params
@@ -144,24 +146,37 @@ class TestCharEncoder:
             enc._params[f"char.conv{w}.bias"].data[...] = 0.3
         for layer in range(E.HIGHWAY_LAYERS):
             enc._params[f"char.hw{layer}.b_T"].data[...] = -1e3
-        out = enc.encode("word").data
+        out = enc.encode(["word"]).data
         assert np.allclose(out, np.tanh(0.3))
 
     def test_gradients_flow(self):
         enc = E.CharEncoder(np.random.default_rng(3))
         params = enc.params()
         with Tape() as tape:
-            out = enc.encode("cat")
+            out = enc.encode(["cat"])
             backward(tape, sum_all(mul(out, out)))
         table_grad = params["char.table"].grad
         assert np.any(table_grad != 0)
+
+    def test_batch_rows_match_each_word_alone(self):
+        # A word longer than the widest filter pads the others past their own
+        # six chars; a repeated word is encoded once and gets the same row.
+        enc = E.CharEncoder(np.random.default_rng(5))
+        words = ["check", "a", "extraordinarily", "check", "naïve"]
+        with Tape() as tape:
+            out = enc.encode(words)
+        assert out.shape == (5, 160)
+        for row, word in zip(out.data, words):
+            assert np.allclose(row, enc.encode([word]).data[0], rtol=0, atol=1e-12)
+        assert np.array_equal(out.data[0], out.data[3])
+        assert sum(node.op == "conv1d" for node in tape.nodes) == len(E.CONV_WIDTHS)
 
     def test_grad_check_small(self):
         enc = E.CharEncoder(np.random.default_rng(4))
         kernel = enc._params["char.conv2.kernel"]
 
         def f(kernel):
-            out = enc.encode("dog")
+            out = enc.encode(["dog"])
             return sum_all(mul(out, out))
 
         assert grad_check(f, [kernel], coord_limit=20, seed=0) < 1e-6

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from glossgen.autodiff import AdamState, ShapeError, Tape, adam_step, backward, grad_check, zero_grads
+from glossgen import embeddings, encoder
+from glossgen.autodiff import (AdamState, ShapeError, Tape, Tensor, adam_step, add, backward, concat,
+                               conv1d, embedding_lookup, grad_check, matmul, max_over_axis, mul,
+                               one_minus, scale, sigmoid, slice_axis, softmax, tanh, zero_grads)
 from glossgen.config import ModelConfig
 from glossgen.data import DictionaryEntry, Vocabulary
+from glossgen.embeddings import CHAR_IDS, CONV_WIDTHS, HIGHWAY_LAYERS, UNK_CHAR_ID
 from glossgen.models import DefinitionModel, expected_param_count, gated_input_dim
 
 WORDS = ["check", "run", "walk", "cat", "dog", "sun", "tree", "bird",
@@ -65,6 +69,50 @@ def stepwise_nll(model, entries, task):
     return total, count
 
 
+def per_entry_char_features(chars, word):
+    """One word's char CNN features at batch 1, padded to the widest filter."""
+    p = chars.params()
+    ids = [CHAR_IDS.get(c, UNK_CHAR_ID) for c in word]
+    ids += [embeddings.BOUNDARY_CHAR_ID] * (max(CONV_WIDTHS) - len(ids))
+    emb = embedding_lookup(p["char.table"], ids)
+    pieces = [max_over_axis(tanh(add(conv1d(emb, p[f"char.conv{w}.kernel"]),
+                                     p[f"char.conv{w}.bias"])), axis=0, keepdims=True)
+              for w in CONV_WIDTHS]
+    x = concat(pieces, axis=1)
+    for layer in range(HIGHWAY_LAYERS):
+        t = sigmoid(add(matmul(x, p[f"char.hw{layer}.W_T"]), p[f"char.hw{layer}.b_T"]))
+        g = tanh(add(matmul(x, p[f"char.hw{layer}.W_H"]), p[f"char.hw{layer}.b_H"]))
+        x = add(mul(t, g), mul(one_minus(t), x))
+    return x
+
+
+def per_entry_condition(model, entries):
+    """The reference for the batched conditioning pass: each entry gets its
+    own batch-1 BiGRU over its first context, its own attention call with a
+    (1, d_w) query, and its own char CNN over its headword."""
+    enc, p = model.encoder, model.attention.params()
+    v_star = embedding_lookup(model.embedding.frozen,
+                              model.vocab.encode([e.word for e in entries]))
+    rows_a, rows_vc, rows_c = [], [], []
+    for i, e in enumerate(entries):
+        emb = embedding_lookup(enc.table, model.vocab.encode(e.contexts[0])[:enc.max_len])
+        h0 = enc.fwd.zero_state(1)
+        H = concat([enc.fwd.run(h0, emb), enc.bwd.run(h0, emb, reverse=True)], axis=1)
+        rows_vc.append(max_over_axis(H, axis=0, keepdims=True))
+        q = matmul(slice_axis(v_star, 0, i, i + 1), p["attn.W_Q"])
+        scores = scale(matmul(q, matmul(H, p["attn.W_K"]), transpose_b=True),
+                       1.0 / np.sqrt(model.attention.d_attn))
+        rows_a.append(matmul(matmul(softmax(scores, axis=1), matmul(H, p["attn.W_V"])),
+                             p["attn.W_O"]))
+        if model.char_encoder is not None:
+            rows_c.append(per_entry_char_features(model.char_encoder, e.word))
+    features = [concat(rows, axis=0) for rows in (rows_a, rows_c) if rows]
+    if model.cfg.contextual_on:
+        features.append(Tensor(np.stack([model.contextual.embed_for_entry(e)
+                                         for e in entries])))
+    return features, model.init_proj.init_state(v_star, concat(rows_vc, axis=0))
+
+
 # (kind, task, temperature) -> tokens sampled at seed 3 for pinned_entries(),
 # recorded before teacher forcing and sampling shared one decode pass
 PINNED_SAMPLES = {
@@ -115,16 +163,18 @@ PINNED_SAMPLES = {
 
 # kind -> (tasks, loss, {task: (total NLL, tokens)}) of padded_batch() at
 # seed 22 with char and contextual features on, recorded while the scores
-# were still separate definition and usage fields
+# were still separate definition and usage fields; the parallel loss and the
+# usage NLL of parallel and hier-ud moved by 1 ulp (under 1.5e-16
+# relative) when the conditioning became one batched pass
 PINNED_SCORES = {
     "single": (("definition",), 2.994933953996859,
                {"definition": (20.964537677978015, 7)}),
-    "parallel": (("definition", "usage"), 6.001378663585112,
-                 {"definition": (20.964537677978015, 7), "usage": (30.064447095882528, 10)}),
+    "parallel": (("definition", "usage"), 6.001378663585111,
+                 {"definition": (20.964537677978015, 7), "usage": (30.064447095882525, 10)}),
     "hier-du": (("definition", "usage"), 5.9847511882801525,
                 {"definition": (20.964537677978015, 7), "usage": (29.898172342832932, 10)}),
     "hier-ud": (("usage", "definition"), 5.98888487240391,
-                {"definition": (20.877081139709595, 7), "usage": (30.064447095882528, 10)}),
+                {"definition": (20.877081139709595, 7), "usage": (30.064447095882525, 10)}),
 }
 
 
@@ -358,6 +408,61 @@ class TestMultiTask:
             total, count = out.nll[task]
             assert abs(total - recomputed) < 1e-9
             assert tokens == count
+
+
+def conditioning_batches():
+    """Batches for the batched conditioning pass at max_context_len 4:
+    contexts of unequal lengths, one of them past the limit, a repeated
+    headword, one longer than the widest char filter; and a batch of one."""
+    long_context = ["the", "check", "is", "here", "for", "now"]
+    unequal = [usage_entry(context=long_context),
+               usage_entry(word="dog", context=["dog"], usage=["dog", "runs"], eid="e2"),
+               usage_entry(word="check", definition=["sun", "tree"], context=["a", "check"],
+                           eid="e3"),
+               usage_entry(word="thunderstorm", definition=["rain", "and", "wind"],
+                           context=["a", "thunderstorm", "came"], eid="e4")]
+    return {"unequal": unequal, "one": unequal[:1]}
+
+
+class TestBatchedConditioning:
+    @pytest.mark.parametrize("batch", ["unequal", "one"])
+    @pytest.mark.parametrize("kind", ["single", "parallel", "hier-du", "hier-ud"])
+    def test_matches_per_entry_reference(self, kind, batch):
+        cfg = micro_cfg(kind=kind, char_on=True, contextual_on=True, max_context_len=4)
+        model = DefinitionModel(cfg, make_vocab(), seed=24)
+        entries = conditioning_batches()[batch]
+        params = model.params()
+
+        def scored():
+            zero_grads(params)
+            with Tape() as tape:
+                loss = model.forward_batch(entries).loss
+                backward(tape, loss)
+            return loss.item(), {name: t.grad.copy() for name, t in params.items()}
+
+        loss, grads = scored()
+        model._condition = lambda batch: per_entry_condition(model, batch)
+        ref_loss, ref_grads = scored()
+        assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss)
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-9 * np.abs(ref).max(), name
+
+    def test_one_call_per_layer_per_batch(self, monkeypatch):
+        calls = {}
+        for owner, name in ((encoder.ContextEncoder, "encode"),
+                            (encoder.SenseAttention, "attend"),
+                            (embeddings.CharEncoder, "encode")):
+            key = f"{owner.__name__}.{name}"
+
+            def counted(self, *args, _run=getattr(owner, name), _key=key):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _run(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+        model = DefinitionModel(micro_cfg(kind="hier-du", char_on=True), make_vocab(), seed=24)
+        model.forward_batch(conditioning_batches()["unequal"])
+        assert calls == {"ContextEncoder.encode": 1, "SenseAttention.attend": 1,
+                         "CharEncoder.encode": 1}
 
 
 class TestGradients:

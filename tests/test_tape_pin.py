@@ -35,28 +35,28 @@ ENTRIES = [
 # case -> (per-op node counts, loss, global gradient norm)
 PINNED = {
     "single": (
-        {"add": 157, "concat": 17, "conv1d": 10, "cross-entropy-from-logits": 1,
-         "elementwise-mul": 77, "embedding-lookup": 5, "matmul": 108,
-         "max-over-axis": 12, "scale": 29, "sigmoid": 49, "slice": 66, "softmax": 2,
-         "tanh": 36},
+        {"add": 110, "concat": 16, "conv1d": 5, "cross-entropy-from-logits": 1,
+         "elementwise-mul": 56, "embedding-lookup": 5, "matmul": 74,
+         "max-over-axis": 12, "scale": 20, "sigmoid": 35, "slice": 60, "softmax": 1,
+         "tanh": 23},
         2.510736984501566, 0.8400259974690731),
     "parallel": (
-        {"add": 226, "concat": 22, "conv1d": 10, "cross-entropy-from-logits": 2,
-         "elementwise-mul": 116, "embedding-lookup": 6, "matmul": 153,
-         "max-over-axis": 12, "scale": 42, "sigmoid": 74, "slice": 102, "softmax": 2,
-         "tanh": 48},
+        {"add": 179, "concat": 21, "conv1d": 5, "cross-entropy-from-logits": 2,
+         "elementwise-mul": 95, "embedding-lookup": 6, "matmul": 119,
+         "max-over-axis": 12, "scale": 33, "sigmoid": 60, "slice": 96, "softmax": 1,
+         "tanh": 35},
         4.984729642398024, 1.4054293146339396),
     "hier-du": (
-        {"add": 292, "concat": 25, "conv1d": 10, "cross-entropy-from-logits": 2,
-         "elementwise-mul": 152, "embedding-lookup": 6, "matmul": 196,
-         "max-over-axis": 12, "scale": 54, "sigmoid": 98, "slice": 138, "softmax": 2,
-         "tanh": 60},
+        {"add": 245, "concat": 24, "conv1d": 5, "cross-entropy-from-logits": 2,
+         "elementwise-mul": 131, "embedding-lookup": 6, "matmul": 162,
+         "max-over-axis": 12, "scale": 45, "sigmoid": 84, "slice": 132, "softmax": 1,
+         "tanh": 47},
         4.966689106472574, 1.4494798366750745),
     "hier-ud": (
-        {"add": 272, "concat": 25, "conv1d": 10, "cross-entropy-from-logits": 2,
-         "elementwise-mul": 140, "embedding-lookup": 6, "matmul": 184,
-         "max-over-axis": 12, "scale": 50, "sigmoid": 90, "slice": 126, "softmax": 2,
-         "tanh": 56},
+        {"add": 225, "concat": 24, "conv1d": 5, "cross-entropy-from-logits": 2,
+         "elementwise-mul": 119, "embedding-lookup": 6, "matmul": 150,
+         "max-over-axis": 12, "scale": 41, "sigmoid": 76, "slice": 120, "softmax": 1,
+         "tanh": 43},
         4.9667050578043135, 1.41138437614936),
     "lm_loss": (
         {"add": 48, "concat": 3, "cross-entropy-from-logits": 1,
