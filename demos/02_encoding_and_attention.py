@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from glossgen.autodiff import (AdamState, Tape, adam_step, backward,
-                               clip_global_norm, embedding_lookup, zero_grads)
+from glossgen.autodiff import (AdamState, Tape, adam_step, backward, embedding_lookup,
+                               global_grad_norm, zero_grads)
 from glossgen.config import ModelConfig
 from glossgen.data import load_corpus, build_vocab, tokenize
 from glossgen.embeddings import CharEncoder
@@ -51,14 +51,15 @@ def show_attention(word, sentence):
 senses = {e.sense_id for e in entries if e.word == "check"}
 print(f"\n'check' has {len(senses)} senses in the corpus")
 
+# adam_step clips the gradients to norm 5 through its scale, then zeroes them
 state = AdamState(lr=5e-3)
+zero_grads(model.params())
 for step in range(150):
-    zero_grads(model.params())
     with Tape() as tape:
         out = model.forward_batch(entries[:8])
         backward(tape, out.loss)
-    clip_global_norm(model.params(), 5.0)
-    adam_step(model.params(), state)
+    norm = global_grad_norm(model.params())
+    adam_step(model.params(), state, 5.0 / norm if norm > 5.0 else 1.0)
 print(f"loss after 150 steps on 8 entries: {float(out.loss.data):.3f}")
 
 show_attention("check", "she paid the bill with a check from her account")

@@ -19,7 +19,7 @@ from .config import Config, ConfigError, config_from_dict, config_to_dict, valid
 from .data import SPECIALS, Vocabulary
 from .embeddings import CHARS, ContextualProvider
 from .metrics import json_text
-from .models import DefinitionModel, assign_arrays
+from .models import DefinitionModel, assign_arrays, check_fits_memory
 
 FORMAT_VERSION = 1
 META_KEY = "__meta__"
@@ -119,8 +119,9 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
 
     A file-backed contextual provider is not stored in the checkpoint and
     must be supplied by the caller when the run used one. Arrays that do not
-    fit the stored config, and a provider whose width does not, are a
-    CheckpointError naming the path.
+    fit the stored config, a provider whose width does not, a provider of
+    another kind than the run's when the model reads it, and a model too
+    large for the machine's memory are a CheckpointError naming the path.
     """
     meta, arrays = _read(path)
     cfg = _checked_header(path, meta)
@@ -134,10 +135,15 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
         raise CheckpointError(
             f"{path}: run used a {meta['contextual_kind']} contextual provider; "
             "supply it to load")
+    if cfg.model.contextual_on and contextual.kind != meta["contextual_kind"]:
+        raise CheckpointError(
+            f"{path}: run used a {meta['contextual_kind']} contextual provider, "
+            f"not the {contextual.kind} one supplied")
     try:
+        check_fits_memory(cfg.model, len(vocab))
         model = DefinitionModel(cfg.model, vocab, seed=meta["seed"], contextual=contextual)
         model.load_state_arrays(arrays)
-    except ShapeError as exc:
+    except (ConfigError, ShapeError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return model, cfg, meta
 

@@ -29,7 +29,7 @@ from .data import (SPECIALS, CorpusError, Vocabulary, apply_split_manifest, buil
 from .embeddings import (ContextualProvider, EmbeddingError,
                          load_contextual_file, load_word_embeddings)
 from .metrics import MetricsError, evaluate, format_report, json_text, report_lines
-from .models import DefinitionModel, expected_param_count
+from .models import DefinitionModel, check_fits_memory, expected_param_count
 from .training import (TrainingError, load_lm_sentences, make_query_entry,
                        pretrain_decoder, train)
 
@@ -146,6 +146,7 @@ def _contextual(cfg: Config) -> ContextualProvider | None:
 
 
 def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
+    check_fits_memory(cfg.model, len(vocab))
     pretrained = None
     if cfg.data.embeddings_file:
         path = resolve_data_path(cfg.data.embeddings_file)

@@ -68,33 +68,24 @@ class GruCell:
         cand = tanh(add(xh, matmul(mul(r, h_prev), p[f"{pre}.U_h"])))
         return add(mul(one_minus(z), h_prev), mul(z, cand))
 
-    def run(self, h0: Tensor, x: Tensor, reverse: bool = False, mask=None) -> Tensor:
-        """Run over a whole sequence given as time-major rows of x (row
-        t*B + b is step t of sequence b, B = rows of h0). The inputs are
+    def run(self, h0: Tensor, x: Tensor) -> Tensor:
+        """Run forward over a whole sequence given as time-major rows of x
+        (row t*B + b is step t of sequence b, B = rows of h0). The inputs are
         projected in one matmul per gate; returns the states in x's rows.
-        A one-step call is ``advance(h0, project(x))``, with no row slicing.
-
-        ``mask``, a (steps, B) array of ones and zeros, holds a row's state
-        where it is 0: h = m * h_new + (1 - m) * h_prev, applied only at the
-        steps that hold a 0. A batch of sequences of unequal lengths, padded
-        after each, runs in reverse with the pads masked, so each sequence
-        starts from h0 at its own last step."""
+        A one-step call is ``advance(h0, project(x))``, with no row slicing."""
         batch = h0.shape[0]
         steps = x.shape[0] // batch
         if steps * batch != x.shape[0] or steps == 0:
             raise ShapeError(f"{self.prefix}: {x.shape[0]} input rows do not split "
                              f"into steps of {batch}")
         proj = self.project(x)
-        states: list[Tensor | None] = [None] * steps
-        h = h0
-        for t in (reversed(range(steps)) if reverse else range(steps)):
-            h_new = self.advance(h, proj if steps == 1 else
-                                 [slice_axis(p, 0, t * batch, (t + 1) * batch) for p in proj])
-            if mask is not None and not mask[t].all():
-                keep = np.repeat(mask[t][:, None], self.hidden_dim, axis=1)
-                h_new = add(mul(h_new, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
-            h = states[t] = h_new
-        return h if steps == 1 else concat(states, axis=0)
+        if steps == 1:
+            return self.advance(h0, proj)
+        states, h = [], h0
+        for t in range(steps):
+            h = self.advance(h, [slice_axis(p, 0, t * batch, (t + 1) * batch) for p in proj])
+            states.append(h)
+        return concat(states, axis=0)
 
     def zero_state(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.hidden_dim)))
@@ -130,27 +121,29 @@ class ContextEncoder:
         ``lengths`` are the row counts L of H's blocks.
 
         The contexts run as one time-major batch, each padded after its
-        tokens to the longest. A forward state at a pad depends only on what
-        came before it and is never read; the reverse direction meets the
-        pads first, so its mask holds those rows at the zero state until each
-        context's own last token. One lookup then gathers the states of the
-        real tokens, so no pad row reaches H or its max-pool.
+        tokens to the longest. The backward direction runs forward over each
+        context reversed, so in both directions a pad only follows a
+        context's real tokens and no state that is read has seen one. One
+        lookup per direction gathers the states of the real tokens, the
+        backward ones flipped back into token order, so no pad row reaches H
+        or its max-pool.
         """
         ids = [list(c)[: self.max_len] for c in contexts]
         if not ids or not all(ids):
             raise ShapeError("context encoder: empty context")
         lengths = [len(c) for c in ids]
         batch, steps = len(ids), max(lengths)
-        grid = np.zeros((steps, batch), dtype=np.intp)  # a pad reads table row 0
+        grids = np.zeros((2, steps, batch), dtype=np.intp)  # a pad reads table row 0
         for b, c in enumerate(ids):
-            grid[:len(c), b] = c
-        mask = (np.arange(steps)[:, None] < np.array(lengths)).astype(float)
-        emb = embedding_lookup(self.table, grid.reshape(-1))  # (steps*B, d_w)
+            grids[0, :len(c), b] = c
+            grids[1, :len(c), b] = c[::-1]
         h0 = self.fwd.zero_state(batch)
-        states = concat([self.fwd.run(h0, emb),
-                         self.bwd.run(h0, emb, reverse=True, mask=mask)], axis=1)
-        H = embedding_lookup(states, [t * batch + b for b, n in enumerate(lengths)
-                                      for t in range(n)])
+        fwd = self.fwd.run(h0, embedding_lookup(self.table, grids[0].reshape(-1)))
+        bwd = self.bwd.run(h0, embedding_lookup(self.table, grids[1].reshape(-1)))
+        tokens = [(t, b, n) for b, n in enumerate(lengths) for t in range(n)]
+        H = concat([embedding_lookup(fwd, [t * batch + b for t, b, _ in tokens]),
+                    embedding_lookup(bwd, [(n - 1 - t) * batch + b for t, b, n in tokens])],
+                   axis=1)
         ends = np.cumsum(lengths)
         v_c = concat([max_over_axis(slice_axis(H, 0, end - n, end), axis=0, keepdims=True)
                       for n, end in zip(lengths, ends)], axis=0)

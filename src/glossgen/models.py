@@ -10,12 +10,13 @@ contextual provider, both embedding tables, and the initial-state projection.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, sum_all
-from .config import MULTI_KINDS, ModelConfig
+from .config import MULTI_KINDS, ConfigError, ModelConfig
 from .data import SPECIALS, Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, GatedInputBuilder, InitStateProjector, sample_sequence
 from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot
@@ -70,6 +71,17 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
         if cfg.kind in ("hier-du", "hier-ud"):
             total += (g + d_s) * g
     return total
+
+
+def check_fits_memory(cfg: ModelConfig, vocab_size: int) -> None:
+    """Refuse, before any array is allocated, a model whose float64
+    parameters and frozen V x d_w table need more bytes than the machine's
+    physical memory (a ConfigError naming both sizes)."""
+    need = 8 * (expected_param_count(cfg, vocab_size) + vocab_size * cfg.d_w)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"the model needs {need} bytes of parameters, more than "
+                          f"this machine's {have} bytes of memory")
 
 
 def assign_arrays(targets: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
@@ -192,8 +204,8 @@ class DefinitionModel:
         entry, with c* and e* only when that feature is on.
 
         One pass serves the whole batch: the encoder runs every entry's first
-        context as one padded, masked batch, the attention reads each entry's
-        own block of context states, and the char CNN encodes each distinct
+        context as one padded batch, the attention reads each entry's own
+        block of context states, and the char CNN encodes each distinct
         headword once. The headword rows v* and e* come from constant tables
         and record no node."""
         for e in entries:

@@ -8,6 +8,7 @@ from glossgen.checkpoint import (FORMAT_VERSION, META_KEY, CheckpointError,
                                  save_checkpoint, save_pretrained)
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig, config_to_dict
 from glossgen.data import DictionaryEntry, Vocabulary
+from glossgen.embeddings import ContextualProvider
 from glossgen.models import DefinitionModel
 
 WORDS = ["check", "run", "walk", "cat", "dog", "sun", "tree", "bird",
@@ -123,6 +124,19 @@ class TestGuards:
         _tamper(path, bad, format_version=FORMAT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bad)
+
+    def test_contextual_kind_mismatch_rejected(self, tmp_path):
+        # a run on deterministic-test features is not scored on file-backed ones
+        cfg = full_cfg(contextual_on=True)
+        model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0)
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, model, cfg)
+        table = {entry().entry_id: np.ones(cfg.model.d_e)}
+        with pytest.raises(CheckpointError, match="deterministic-test.*file-backed"):
+            load_checkpoint(path, contextual=ContextualProvider(cfg.model.d_e, table=table))
+        # a model that does not read the features loads with any provider
+        save_checkpoint(path, build(), full_cfg())
+        load_checkpoint(path, contextual=ContextualProvider(8, table=table))
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "not.npz"

@@ -285,6 +285,19 @@ class TestContextualFile:
         assert main(["eval", "--checkpoint", str(run / "model.npz")]
                     + self.args(cfg_path, tmp_path / "ev", vectors)) == 0
 
+    def test_eval_refuses_other_provider_kind(self, cfg_path, tmp_path, capsys):
+        vectors = tmp_path / "ctx.txt"
+        self.write_vectors(vectors)
+        run = tmp_path / "run"
+        # trained on deterministic-test features, scored on file-backed ones
+        assert main(["train"] + self.args(cfg_path, run, vectors)[:-2]) == 0
+        code = main(["eval", "--checkpoint", str(run / "model.npz")]
+                    + self.args(cfg_path, tmp_path / "ev", vectors))
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "error:" in err and "internal error" not in err
+        assert "deterministic-test" in err and "file-backed" in err
+
     def test_missing_entry_is_user_error(self, cfg_path, tmp_path, capsys):
         entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
         missing = split_by_sense(entries, (0.8, 0.1, 0.1), 0)[0][0].entry_id
@@ -442,13 +455,15 @@ class TestMalformedInputFiles:
 
     @pytest.mark.parametrize("kind", [
         "text", "truncated", "npy", "header", "warm-start", "no-config", "bad-config",
-        "config-type", "config-range", "vocab-type", "seed-type", "no-contextual-seed"])
+        "config-type", "config-range", "config-oversized", "vocab-type", "seed-type",
+        "no-contextual-seed"])
     def test_checkpoint_file(self, trained, warm_start, tmp_path, capsys, kind):
         path = tmp_path / "bad.npz"
         meta, arrays = checkpoint._read(trained["checkpoint"])
         edits = {
             "config-type": lambda m: m["config"]["model"].update(d_w="abc"),
             "config-range": lambda m: m["config"]["train"].update(lr=-1.0),
+            "config-oversized": lambda m: m["config"]["model"].update(d_w=10 ** 13),
             "vocab-type": lambda m: m["vocab_tokens"].append(7),
             "seed-type": lambda m: m.update(seed="0"),
             "no-contextual-seed": lambda m: m.pop("contextual_seed"),
@@ -599,6 +614,16 @@ class TestErrorsAndPaths:
         bad.write_bytes(b'{"id": "\xff\xfe"}\n')
         assert main(["data", "validate", "--override", f"data.corpus={bad}"]) == 1
         assert "utf-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_w", [10 ** 13, 2 ** 62, 2 ** 70])
+    def test_model_larger_than_memory_is_user_error(self, tmp_path, capsys, d_w):
+        # numpy would refuse each of these before touching memory, so even a
+        # missing check allocates nothing here
+        code = main(["train", "--out-dir", str(tmp_path / "run"),
+                     "--override", "model.kind=single", "--override", f"model.d_w={d_w}"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and "bytes" in err
 
     def test_bad_config_value_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

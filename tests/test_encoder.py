@@ -134,7 +134,7 @@ class TestContextEncoder:
             assert np.allclose(v_c.data[b], alone_v_c.data[0], rtol=0, atol=1e-12)
             start += lengths[b]
 
-    def test_masked_batch_grad_check(self):
+    def test_unequal_length_batch_grad_check(self):
         enc = make_encoder(seed=8, d_w=4, d_h=3, max_len=4)
         contexts = [[4, 5], [6, 7, 8, 9, 10], [9]]
 

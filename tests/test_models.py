@@ -88,16 +88,19 @@ def per_entry_char_features(chars, word):
 
 def per_entry_condition(model, entries):
     """The reference for the batched conditioning pass: each entry gets its
-    own batch-1 BiGRU over its first context, its own attention call with a
-    (1, d_w) query, and its own char CNN over its headword."""
+    own batch-1 BiGRU over its first context (the backward direction a run
+    over the reversed ids, its rows flipped back), its own attention call
+    with a (1, d_w) query, and its own char CNN over its headword."""
     enc, p = model.encoder, model.attention.params()
     v_star = embedding_lookup(model.embedding.frozen,
                               model.vocab.encode([e.word for e in entries]))
     rows_a, rows_vc, rows_c = [], [], []
     for i, e in enumerate(entries):
-        emb = embedding_lookup(enc.table, model.vocab.encode(e.contexts[0])[:enc.max_len])
+        ids = model.vocab.encode(e.contexts[0])[:enc.max_len]
         h0 = enc.fwd.zero_state(1)
-        H = concat([enc.fwd.run(h0, emb), enc.bwd.run(h0, emb, reverse=True)], axis=1)
+        bwd = enc.bwd.run(h0, embedding_lookup(enc.table, ids[::-1]))
+        H = concat([enc.fwd.run(h0, embedding_lookup(enc.table, ids)),
+                    embedding_lookup(bwd, list(reversed(range(len(ids)))))], axis=1)
         rows_vc.append(max_over_axis(H, axis=0, keepdims=True))
         q = matmul(slice_axis(v_star, 0, i, i + 1), p["attn.W_Q"])
         scores = scale(matmul(q, matmul(H, p["attn.W_K"]), transpose_b=True),
