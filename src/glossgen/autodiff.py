@@ -12,7 +12,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import expit
 
 
 class AutodiffError(Exception):
@@ -259,8 +258,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, any shape."""
-    y = expit(x.data)
+    """Elementwise logistic function, any shape.
+
+    ``exp(-x)`` overflows to inf below x ~ -709, where 1 / (1 + inf) gives
+    exactly the limit 0. That overflow is no fault, so it alone is silenced.
+    """
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g):
         if x.requires_grad:

@@ -140,7 +140,7 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
             f"{path}: run used a {meta['contextual_kind']} contextual provider, "
             f"not the {contextual.kind} one supplied")
     try:
-        check_fits_memory(cfg.model, len(vocab))
+        check_fits_memory(cfg.model, len(vocab), training=False)
         model = DefinitionModel(cfg.model, vocab, seed=meta["seed"], contextual=contextual)
         model.load_state_arrays(arrays)
     except (ConfigError, ShapeError) as exc:

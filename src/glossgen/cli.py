@@ -146,7 +146,7 @@ def _contextual(cfg: Config) -> ContextualProvider | None:
 
 
 def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
-    check_fits_memory(cfg.model, len(vocab))
+    check_fits_memory(cfg.model, len(vocab), training=True)
     pretrained = None
     if cfg.data.embeddings_file:
         path = resolve_data_path(cfg.data.embeddings_file)

@@ -187,10 +187,9 @@ class SenseAttention:
         k = matmul(H, p["attn.W_K"])
         v = matmul(H, p["attn.W_V"])
         scores = scale(matmul(q, k, transpose_b=True), 1.0 / np.sqrt(self.d_attn))
-        if len(lengths) > 1:
-            block = np.repeat(np.arange(len(lengths)), lengths)
-            outside = block != np.arange(len(lengths))[:, None]
-            scores = add(scores, Tensor(np.where(outside, -1e30, 0.0)))
+        block = np.repeat(np.arange(len(lengths)), lengths)
+        outside = block != np.arange(len(lengths))[:, None]
+        scores = add(scores, Tensor(np.where(outside, -1e30, 0.0)))
         weights = softmax(scores, axis=1)
         a_star = matmul(matmul(weights, v), p["attn.W_O"])
         return a_star, weights

@@ -73,15 +73,20 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
     return total
 
 
-def check_fits_memory(cfg: ModelConfig, vocab_size: int) -> None:
-    """Refuse, before any array is allocated, a model whose float64
-    parameters and frozen V x d_w table need more bytes than the machine's
-    physical memory (a ConfigError naming both sizes)."""
-    need = 8 * (expected_param_count(cfg, vocab_size) + vocab_size * cfg.d_w)
+def check_fits_memory(cfg: ModelConfig, vocab_size: int, training: bool) -> None:
+    """Refuse, before the model is built, one whose float64 arrays need more
+    bytes than the machine's physical memory (a ConfigError naming both sizes).
+
+    Training holds four copies of the trainable parameters (values, gradients,
+    Adam's m and v) and one of the frozen V x d_w table. Loading a checkpoint
+    holds two of each: the arrays read from the file and the model's own.
+    """
+    params, frozen = expected_param_count(cfg, vocab_size), vocab_size * cfg.d_w
+    need = 8 * (4 * params + frozen if training else 2 * (params + frozen))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(f"the model needs {need} bytes of parameters, more than "
-                          f"this machine's {have} bytes of memory")
+        raise ConfigError(f"the model needs {need} bytes to {'train' if training else 'load'}, "
+                          f"more than this machine's {have} bytes of memory")
 
 
 def assign_arrays(targets: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +121,19 @@ class TestForward:
         x = Tensor(np.arange(10.0).reshape(2, 5))
         out = ad.slice_axis(x, axis=1, start=1, stop=4)
         assert np.array_equal(out.data, [[1, 2, 3], [6, 7, 8]])
+
+    def test_sigmoid_saturates_exactly_without_warning(self):
+        x = Tensor([-1000.0, -745.0, 0.0, 745.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ad.sigmoid(x).data
+        assert y.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+    def test_sigmoid_matches_scalar_formula(self):
+        grid = np.linspace(-700.0, 700.0, 28001)
+        y = ad.sigmoid(Tensor(grid)).data
+        ref = np.array([1.0 / (1.0 + math.exp(-v)) for v in grid])
+        assert np.all(np.abs(y - ref) <= 1e-15 * ref)
 
 
 class TestBackward:
@@ -471,3 +486,20 @@ class TestAdam:
         a.grad[...] = [0.5]
         clip_global_norm({"a": a}, 5.0)
         assert a.grad[0] == 0.5
+
+
+def test_no_module_loads_scipy():
+    # The core is numpy-only: importing every glossgen module must not pull
+    # scipy (or its second OpenBLAS) into the process.
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import glossgen\n"
+        "for mod in pkgutil.walk_packages(glossgen.__path__, 'glossgen.'):\n"
+        "    importlib.import_module(mod.name)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    src = str(Path(glossgen.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -12,7 +12,7 @@ from glossgen.autodiff import ShapeError
 from glossgen.cli import main, resolve_data_path
 from glossgen.config import default_config
 from glossgen.data import load_corpus, split_by_sense
-from glossgen.models import DefinitionModel
+from glossgen.models import DefinitionModel, expected_param_count
 
 MICRO_CFG = """
 model.d_w = 8
@@ -624,6 +624,30 @@ class TestErrorsAndPaths:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("error:") and "bytes" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_memory_check_counts_every_copy(self, trained, tmp_path, capsys,
+                                            monkeypatch, command):
+        # The old check counted one copy of the parameters and the frozen
+        # table. Training also holds gradients and Adam's m and v; loading a
+        # checkpoint holds the file's arrays beside the model's. A machine
+        # between the two counts must be refused, with nothing large allocated.
+        model, cfg, _ = checkpoint.load_checkpoint(trained["checkpoint"])
+        params = expected_param_count(cfg.model, len(model.vocab))
+        frozen = len(model.vocab) * cfg.model.d_w
+        old = 8 * (params + frozen)
+        new = 8 * (4 * params + frozen if command == "train" else 2 * (params + frozen))
+        real = os.sysconf
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (old + new) // 2}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+        argv = [command, "--config", trained["cfg"], "--seed", "0",
+                "--manifest", trained["manifest"], "--out-dir", str(tmp_path / "run")]
+        if command == "eval":
+            argv += ["--checkpoint", trained["checkpoint"]]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and f"needs {new} bytes" in err
 
     def test_bad_config_value_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -172,12 +172,12 @@ PINNED_SAMPLES = {
 PINNED_SCORES = {
     "single": (("definition",), 2.994933953996859,
                {"definition": (20.964537677978015, 7)}),
-    "parallel": (("definition", "usage"), 6.001378663585111,
-                 {"definition": (20.964537677978015, 7), "usage": (30.064447095882525, 10)}),
+    "parallel": (("definition", "usage"), 6.001378663585112,
+                 {"definition": (20.964537677978015, 7), "usage": (30.064447095882528, 10)}),
     "hier-du": (("definition", "usage"), 5.9847511882801525,
                 {"definition": (20.964537677978015, 7), "usage": (29.898172342832932, 10)}),
     "hier-ud": (("usage", "definition"), 5.98888487240391,
-                {"definition": (20.877081139709595, 7), "usage": (30.064447095882525, 10)}),
+                {"definition": (20.877081139709595, 7), "usage": (30.064447095882528, 10)}),
 }
 
 
