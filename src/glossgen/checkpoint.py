@@ -89,8 +89,11 @@ def _checked_header(path, meta: dict) -> Config:
     """Check a checkpoint header before anything is built from it; returns
     its validated config. Any fault is a CheckpointError naming the path."""
     _check_fields(path, meta, HEADER_FIELDS)
-    if not all(isinstance(t, str) for t in meta["vocab_tokens"]):
+    tokens = meta["vocab_tokens"]
+    if not all(isinstance(t, str) for t in tokens):
         raise CheckpointError(f"{path}: header field 'vocab_tokens' holds a non-string")
+    if len(set(tokens)) != len(tokens):
+        raise CheckpointError(f"{path}: header field 'vocab_tokens' repeats a token")
     try:
         cfg = config_from_dict(meta["config"])
         validate(cfg)
@@ -154,7 +157,7 @@ def save_pretrained(path, model, extra_meta: dict | None = None) -> None:
         "kind": WARM_START,
         "vocab_fingerprint": model.vocab.fingerprint(),
         "d_s": model.cfg.d_s,
-        "input_dim": model.input_dim,
+        "input_dim": model.def_stack.input_dim,
     }
     meta.update(extra_meta or {})
     _write(path, meta, {name: t.data for name, t in model.pretrainable_params().items()})

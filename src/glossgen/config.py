@@ -14,8 +14,14 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .data import SPECIALS
 
-MODEL_KINDS = ("single", "parallel", "hier-du", "hier-ud")
-MULTI_KINDS = ("parallel", "hier-du", "hier-ud")  # kinds that also decode usage
+# kind -> (tasks in scoring order, hierarchical). A hierarchical kind re-runs
+# the first task's stack beneath the last task's. A task with a lower stack
+# decodes last, which fixes the tape and with it the order in which
+# gradients are summed.
+KINDS = {"single": (("definition",), False),
+         "parallel": (("definition", "usage"), False),
+         "hier-du": (("definition", "usage"), True),
+         "hier-ud": (("usage", "definition"), True)}
 S0_VARIANTS = ("zeros", "word", "context", "both")  # decoder initial-state sources
 
 
@@ -144,8 +150,8 @@ def validate(cfg: Config) -> None:
                  "max_context_len", "max_gen_len"):
         if not getattr(m, name) > 0:
             raise ConfigError(f"model.{name} must be positive")
-    if m.kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {m.kind!r}")
+    if m.kind not in KINDS:
+        raise ConfigError(f"model.kind must be one of {tuple(KINDS)}, got {m.kind!r}")
     if m.s0_variant not in S0_VARIANTS:
         raise ConfigError(f"model.s0_variant {m.s0_variant!r} unknown")
     if not m.temperature > 0:
@@ -153,8 +159,9 @@ def validate(cfg: Config) -> None:
     t = cfg.train
     if not (t.batch_size > 0 and t.max_epochs >= 0 and t.patience >= 0):
         raise ConfigError("train.batch_size/max_epochs/patience out of range")
-    if not t.seed >= 0:
-        raise ConfigError("train.seed must be non-negative")
+    for name in ("seed", "pretrain_epochs"):
+        if not getattr(t, name) >= 0:
+            raise ConfigError(f"train.{name} must be non-negative")
     if not (0 <= t.beta1 < 1 and 0 <= t.beta2 < 1):
         raise ConfigError("train.beta1/beta2 must lie in [0, 1)")
     for name in ("lr", "eps", "clip_norm"):

@@ -1,4 +1,4 @@
-"""Gated two-layer GRU decoder over the definition (or usage) vocabulary.
+"""Gated GRU decoders, one per task, each with its own input gate.
 
 Each step consumes a gated concatenation of step-constant conditioning
 features (sense vector, char features, contextual vector) and the previous
@@ -114,13 +114,15 @@ class GatedInputBuilder:
 
 
 class DecoderStack:
-    """Stacked GRU layers plus the output projection to vocabulary logits."""
+    """One task's decoder: its input gate (``gate``, parameters under
+    "<prefix>.gate"), stacked GRU layers, and the output projection to
+    vocabulary logits. The gate is drawn from ``rng`` first."""
 
     def __init__(self, rng: np.random.Generator, input_dim: int, d_s: int,
-                 vocab_size: int, n_layers: int = 2, prefix: str = "dec"):
+                 vocab_size: int, n_layers: int, gate_on: bool, prefix: str):
+        self.gate = GatedInputBuilder(rng, input_dim, gate_on, f"{prefix}.gate")
         self.input_dim = input_dim
         self.d_s = d_s
-        self.vocab_size = vocab_size
         self.n_layers = n_layers
         self.prefix = prefix
         self.cells = [GruCell(rng, input_dim if i == 0 else d_s, d_s,
@@ -131,7 +133,7 @@ class DecoderStack:
         }
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+        out = self.gate.params()
         for cell in self.cells:
             out.update(cell.params())
         out.update(self._params)

@@ -1,8 +1,9 @@
 """Model assembly: wire embeddings, encoder, attention, and decoders into the
 four trainable variants.
 
-Kinds: "single" (definition only), "parallel" (independent definition and
-usage decoders over shared conditioning), "hier-du" (definition decoder at
+Kinds, each stated once in ``config.KINDS`` as its tasks and whether it is
+hierarchical: "single" (definition only), "parallel" (independent definition
+and usage decoders over shared conditioning), "hier-du" (definition decoder at
 the bottom, usage decoder stacked on its re-run states), "hier-ud" (mirror).
 All variants share the conditioning stack: encoder, attention, char encoder,
 contextual provider, both embedding tables, and the initial-state projection.
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, sum_all
-from .config import MULTI_KINDS, ConfigError, ModelConfig
+from .config import KINDS, ConfigError, ModelConfig
 from .data import SPECIALS, Vocabulary
-from .decoder import DecoderEmbedding, DecoderStack, GatedInputBuilder, InitStateProjector, sample_sequence
+from .decoder import DecoderEmbedding, DecoderStack, InitStateProjector, sample_sequence
 from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot
 from .encoder import ContextEncoder, SenseAttention
 
@@ -42,10 +43,12 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
 
     Shared stack: encoder table V*d_w, two encoder GRUs, four attention
     projections, optional char encoder, a d_w row per special token, and the
-    initial-state projection unless the zeros variant. Each decoder adds an
-    optional gate (G^2), its GRU layers, and the output projection; the
-    hierarchical kinds add the (G+d_s) x G shortcut matrix.
+    initial-state projection unless the zeros variant. Each of the kind's
+    tasks adds a decoder stack: an optional gate (G^2), its GRU layers, and
+    the output projection; a hierarchical kind adds the (G+d_s) x G shortcut
+    matrix.
     """
+    tasks, hierarchical = KINDS[cfg.kind]
     d_w, d_h, d_s, d = cfg.d_w, cfg.d_h, cfg.d_s, cfg.d_attn
     total = vocab_size * d_w
     total += 2 * _gru_param_count(d_w, d_h)
@@ -65,11 +68,9 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
     stack += d_s * vocab_size + vocab_size
     if cfg.gate_on:
         stack += g * g
-    total += stack
-    if cfg.kind in MULTI_KINDS:
-        total += stack
-        if cfg.kind in ("hier-du", "hier-ud"):
-            total += (g + d_s) * g
+    total += len(tasks) * stack
+    if hierarchical:
+        total += (g + d_s) * g
     return total
 
 
@@ -152,22 +153,15 @@ class DefinitionModel:
         self.init_proj = InitStateProjector(kids[6], cfg.d_w, 2 * cfg.d_h, cfg.d_s,
                                             cfg.n_decoder_layers, cfg.s0_variant)
         g = gated_input_dim(cfg)
-        self.input_dim = g
-        self.def_gate = GatedInputBuilder(kids[7], g, cfg.gate_on, "def.gate")
-        self.def_stack = DecoderStack(kids[7], g, cfg.d_s, v,
-                                      cfg.n_decoder_layers, "def")
-        # Scoring order: a task with a lower stack decodes last, which fixes
-        # the tape and with it the order in which gradients are summed.
-        self.tasks = {"single": ("definition",),
-                      "hier-ud": ("usage", "definition")}.get(cfg.kind, ("definition", "usage"))
-        self.usg_gate = self.usg_stack = self.shortcut = None
-        if cfg.kind in MULTI_KINDS:
-            self.usg_gate = GatedInputBuilder(kids[8], g, cfg.gate_on, "usg.gate")
-            self.usg_stack = DecoderStack(kids[8], g, cfg.d_s, v,
-                                          cfg.n_decoder_layers, "usg")
-            if cfg.kind in ("hier-du", "hier-ud"):
-                self.shortcut = Tensor(glorot(kids[9], (g + cfg.d_s, g)),
-                                       requires_grad=True)
+        self.tasks, hierarchical = KINDS[cfg.kind]
+        self.def_stack = DecoderStack(kids[7], g, cfg.d_s, v, cfg.n_decoder_layers,
+                                      cfg.gate_on, "def")
+        self.usg_stack = self.shortcut = None
+        if "usage" in self.tasks:
+            self.usg_stack = DecoderStack(kids[8], g, cfg.d_s, v, cfg.n_decoder_layers,
+                                          cfg.gate_on, "usg")
+        if hierarchical:
+            self.shortcut = Tensor(glorot(kids[9], (g + cfg.d_s, g)), requires_grad=True)
         self.contextual = contextual or ContextualProvider(cfg.d_e, seed=seed)
         if self.contextual.dim != cfg.d_e:
             raise ShapeError(
@@ -183,10 +177,8 @@ class DefinitionModel:
             p.update(self.char_encoder.params())
         p.update(self.embedding.params())
         p.update(self.init_proj.params())
-        p.update(self.def_gate.params())
         p.update(self.def_stack.params())
         if self.usg_stack is not None:
-            p.update(self.usg_gate.params())
             p.update(self.usg_stack.params())
         if self.shortcut is not None:
             p["hier.W_p"] = self.shortcut
@@ -245,17 +237,16 @@ class DefinitionModel:
         return inputs, golds, mask
 
     def _route(self, task: str):
-        """(lower, upper, gate) for a task: ``upper`` emits the task's tokens
-        from inputs built by ``gate``; ``lower``, when set, is the other task's
-        stack, re-run on the same inputs beneath it (the hierarchical kinds)."""
-        kind = self.cfg.kind
+        """(lower, upper) for a task: ``upper`` is the task's own stack, which
+        builds the inputs with its gate and emits the task's tokens; ``lower``
+        is set only for the last task of a hierarchical kind, and is the first
+        task's stack, re-run on the same inputs beneath it."""
         if task not in self.tasks:
-            raise ShapeError(f"model kind {kind} has no {task!r} task")
-        if task == "definition":
-            return (self.usg_stack if kind == "hier-ud" else None,
-                    self.def_stack, self.def_gate)
-        return (self.def_stack if kind == "hier-du" else None,
-                self.usg_stack, self.usg_gate)
+            raise ShapeError(f"model kind {self.cfg.kind} has no {task!r} task")
+        stacks = {"definition": self.def_stack, "usage": self.usg_stack}
+        _, hierarchical = KINDS[self.cfg.kind]
+        lower = stacks[self.tasks[0]] if hierarchical and task == self.tasks[-1] else None
+        return lower, stacks[task]
 
     def _decode(self, route, states, ids, features):
         """Run a route over time-major input ids (row t*B + b is entry b at
@@ -267,12 +258,12 @@ class DefinitionModel:
         the returned states hold every row. Teacher forcing calls this once
         over whole sequences; sampling calls it with one id per entry, which
         makes the returned states the next step's."""
-        lower, upper, gate = route
+        lower, upper = route
         low, up = states
         steps = len(ids) // features[0].shape[0]
         if steps > 1:
             features = [concat([f] * steps, axis=0) for f in features]
-        x = gate.build(features, self.embedding.embed(ids))
+        x = upper.gate.build(features, self.embedding.embed(ids))
         if lower is not None:
             low = lower.step(low, x)
             x = matmul(concat([x, low[-1]], axis=1), self.shortcut)
@@ -335,15 +326,13 @@ class DefinitionModel:
         features = [Tensor(np.zeros((batch, w))) for w in feature_widths(m)]
         s0 = [Tensor(np.zeros((batch, m.d_s))) for _ in range(m.n_decoder_layers)]
         # The bare definition route for every kind: no lower stack underneath.
-        mean, total, count = self._decode_loss((None, self.def_stack, self.def_gate),
-                                               s0, features, seqs)
+        mean, total, count = self._decode_loss((None, self.def_stack), s0, features, seqs)
         return ForwardOutput(loss=mean, nll={"definition": (total, count)})
 
     def pretrainable_params(self) -> dict[str, Tensor]:
         """Parameters that receive gradients in the zero-conditioned regime."""
         p: dict[str, Tensor] = {}
         p.update(self.embedding.params())
-        p.update(self.def_gate.params())
         p.update(self.def_stack.params())
         return p
 

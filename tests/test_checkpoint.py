@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,14 @@ class TestGuards:
         # a model that does not read the features loads with any provider
         save_checkpoint(path, build(), full_cfg())
         load_checkpoint(path, contextual=ContextualProvider(8, table=table))
+
+    def test_repeated_vocab_token_names_path(self, tmp_path):
+        path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+        save_checkpoint(path, build(), full_cfg())
+        tokens = build().vocab.id_to_token
+        _tamper(path, bad, vocab_tokens=tokens + [tokens[-1]])
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: .*repeats"):
+            load_checkpoint(bad)
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "not.npz"

@@ -455,8 +455,8 @@ class TestMalformedInputFiles:
 
     @pytest.mark.parametrize("kind", [
         "text", "truncated", "npy", "header", "warm-start", "no-config", "bad-config",
-        "config-type", "config-range", "config-oversized", "vocab-type", "seed-type",
-        "no-contextual-seed"])
+        "config-type", "config-range", "config-oversized", "vocab-type", "vocab-repeat",
+        "seed-type", "no-contextual-seed"])
     def test_checkpoint_file(self, trained, warm_start, tmp_path, capsys, kind):
         path = tmp_path / "bad.npz"
         meta, arrays = checkpoint._read(trained["checkpoint"])
@@ -465,6 +465,7 @@ class TestMalformedInputFiles:
             "config-range": lambda m: m["config"]["train"].update(lr=-1.0),
             "config-oversized": lambda m: m["config"]["model"].update(d_w=10 ** 13),
             "vocab-type": lambda m: m["vocab_tokens"].append(7),
+            "vocab-repeat": lambda m: m["vocab_tokens"].append(m["vocab_tokens"][-1]),
             "seed-type": lambda m: m.update(seed="0"),
             "no-contextual-seed": lambda m: m.pop("contextual_seed"),
         }
@@ -608,6 +609,13 @@ class TestErrorsAndPaths:
     def test_bad_value_names_key(self, tmp_path, capsys, args, key):
         assert main(["data", "split", "--out-dir", str(tmp_path / "s")] + args) == 1
         assert key in capsys.readouterr().err
+
+    def test_negative_pretrain_epochs_rejected(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", cfg_path, "--out-dir", str(out),
+                     "--override", "train.pretrain_epochs=-1"]) == 1
+        assert "train.pretrain_epochs" in capsys.readouterr().err
+        assert not (out / "pretrained.npz").exists()
 
     def test_non_utf8_corpus_is_user_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

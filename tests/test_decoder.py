@@ -175,7 +175,7 @@ class TestGatedInput:
 class TestDecoderStack:
     def make(self, vocab=7, seed=0):
         return DecoderStack(np.random.default_rng(seed), input_dim=6, d_s=5,
-                            vocab_size=vocab)
+                            vocab_size=vocab, n_layers=2, gate_on=False, prefix="dec")
 
     def zero_states(self, stack, batch=1):
         return [Tensor(np.zeros((batch, stack.d_s))) for _ in range(stack.n_layers)]
@@ -258,7 +258,7 @@ class TestSequenceLogProb:
         model = lm_model(seed=7)
         seq = [4, 7, 5]
         total, _ = model.lm_loss([seq]).nll["definition"]
-        route = (None, model.def_stack, model.def_gate)
+        route = (None, model.def_stack)
         zeros = lambda n: Tensor(np.zeros((1, n)))  # noqa: E731
         states = ([zeros(8), zeros(8)], [zeros(8), zeros(8)])
         expected = 0.0

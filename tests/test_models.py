@@ -5,7 +5,7 @@ from glossgen import embeddings, encoder
 from glossgen.autodiff import (AdamState, ShapeError, Tape, Tensor, adam_step, add, backward, concat,
                                conv1d, embedding_lookup, grad_check, matmul, max_over_axis, mul,
                                one_minus, scale, sigmoid, slice_axis, softmax, tanh, zero_grads)
-from glossgen.config import ModelConfig
+from glossgen.config import KINDS, ModelConfig
 from glossgen.data import DictionaryEntry, Vocabulary
 from glossgen.embeddings import CHAR_IDS, CONV_WIDTHS, HIGHWAY_LAYERS, UNK_CHAR_ID
 from glossgen.models import DefinitionModel, expected_param_count, gated_input_dim
@@ -308,7 +308,6 @@ class TestMultiTask:
         before = model.forward(e)
         for name, t in model.usg_stack.params().items():
             t.data += 0.5
-        model.usg_gate.params()["usg.gate.W_g"].data += 0.5
         after = model.forward(e)
         assert after.nll["definition"][0] == before.nll["definition"][0]
         assert after.nll["usage"][0] != before.nll["usage"][0]
@@ -350,6 +349,42 @@ class TestMultiTask:
             t.data += 0.3
         after = model.forward(e).nll["usage"][0]
         assert after == before
+
+    def test_hier_ud_shortcut_carries_usage_influence(self):
+        model = DefinitionModel(micro_cfg(kind="hier-ud"), make_vocab(), seed=11)
+        e = usage_entry()
+        before = model.forward(e).nll["definition"][0]
+        model.usg_stack.params()["usg.gru0.W_z"].data += 0.5
+        after = model.forward(e).nll["definition"][0]
+        assert after != before
+
+    def test_hier_ud_zeroed_shortcut_block_cuts_usage_influence(self):
+        cfg = micro_cfg(kind="hier-ud")
+        model = DefinitionModel(cfg, make_vocab(), seed=11)
+        g = gated_input_dim(cfg)
+        model.shortcut.data[g:, :] = 0.0  # rows that multiply the re-run state
+        e = usage_entry()
+        before = model.forward(e).nll["definition"][0]
+        for name, t in model.usg_stack.params().items():
+            t.data += 0.3
+        after = model.forward(e).nll["definition"][0]
+        assert after == before
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_route_per_task(self, kind):
+        # (lower, upper) for each task: the task's own stack on top, and
+        # beneath the last task of a hierarchical kind, the first task's.
+        model = DefinitionModel(micro_cfg(kind=kind), make_vocab(), seed=14)
+        d, u = model.def_stack, model.usg_stack
+        want = {"single": {"definition": (None, d)},
+                "parallel": {"definition": (None, d), "usage": (None, u)},
+                "hier-du": {"definition": (None, d), "usage": (d, u)},
+                "hier-ud": {"usage": (None, u), "definition": (u, d)}}[kind]
+        assert model.tasks == KINDS[kind][0] == tuple(want)
+        for task, (lower, upper) in want.items():
+            got_lower, got_upper = model._route(task)
+            assert got_lower is lower and got_upper is upper
+            assert f"{upper.prefix}.gate.W_g" in upper.params()
 
     def test_hier_variants_differ(self):
         vocab = make_vocab()
