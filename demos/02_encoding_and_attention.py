@@ -5,19 +5,13 @@ import numpy as np
 from glossgen.autodiff import (AdamState, Tape, adam_step, backward, embedding_lookup,
                                global_grad_norm, zero_grads)
 from glossgen.config import ModelConfig
-from glossgen.data import load_corpus, build_vocab, tokenize
+from glossgen.data import load_corpus, model_vocab, tokenize
 from glossgen.embeddings import CharEncoder
 from glossgen.models import DefinitionModel
 from glossgen.cli import asset_path
 
 entries, report = load_corpus(asset_path("mini_corpus.jsonl"))
-tokens = []
-for e in entries:
-    tokens.append(e.word)
-    tokens.extend(e.definition)
-    for ctx in e.contexts:
-        tokens.extend(ctx)
-vocab = build_vocab(tokens, k=400)
+vocab = model_vocab(entries, 400)
 print(f"corpus: {len(entries)} entries, vocab {len(vocab)} tokens")
 
 cfg = ModelConfig(kind="single", d_w=24, d_h=16, d_s=32, d_attn=24,

@@ -2,19 +2,13 @@
 
 from glossgen.cli import asset_path
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
-from glossgen.data import build_vocab, load_corpus
+from glossgen.data import load_corpus, model_vocab
 from glossgen.metrics import perplexity
 from glossgen.models import DefinitionModel
 from glossgen.training import make_query_entry, train
 
 entries, _ = load_corpus(asset_path("mini_corpus.jsonl"))
-tokens = []
-for e in entries:
-    tokens.append(e.word)
-    tokens.extend(e.definition)
-    for ctx in e.contexts:
-        tokens.extend(ctx)
-vocab = build_vocab(tokens, k=400)
+vocab = model_vocab(entries, 400)
 
 cfg = Config(
     model=ModelConfig(kind="single", d_w=24, d_h=16, d_s=64, d_attn=24,

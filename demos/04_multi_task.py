@@ -2,19 +2,12 @@
 
 from glossgen.cli import asset_path
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
-from glossgen.data import build_vocab, load_corpus
+from glossgen.data import load_corpus, model_vocab
 from glossgen.models import DefinitionModel, expected_param_count
 from glossgen.training import make_query_entry, train
 
 entries, _ = load_corpus(asset_path("mini_corpus.jsonl"))
-tokens = []
-for e in entries:
-    tokens.append(e.word)
-    tokens.extend(e.definition)
-    tokens.extend(e.usage)
-    for ctx in e.contexts:
-        tokens.extend(ctx)
-vocab = build_vocab(tokens, k=400)
+vocab = model_vocab(entries, 400)
 
 
 def make_cfg(kind):

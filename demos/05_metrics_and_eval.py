@@ -4,7 +4,7 @@ import math
 
 from glossgen.cli import asset_path
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
-from glossgen.data import (build_vocab, load_corpus, partition_seen_unseen,
+from glossgen.data import (load_corpus, model_vocab, partition_seen_unseen,
                            split_by_sense)
 from glossgen.metrics import (evaluate, format_report, perplexity, rouge_l,
                               sentence_bleu)
@@ -25,13 +25,7 @@ print(f"disjoint sentences:  bleu "
 
 # train a small model on the train split, report on the test split
 entries, _ = load_corpus(asset_path("mini_corpus.jsonl"))
-tokens = []
-for e in entries:
-    tokens.append(e.word)
-    tokens.extend(e.definition)
-    for ctx in e.contexts:
-        tokens.extend(ctx)
-vocab = build_vocab(tokens, k=400)
+vocab = model_vocab(entries, 400)
 
 train_set, valid_set, test_set = split_by_sense(entries, (0.7, 0.15, 0.15),
                                                 seed=0)

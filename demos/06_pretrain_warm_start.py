@@ -6,18 +6,12 @@ import tempfile
 from glossgen.checkpoint import load_pretrained
 from glossgen.cli import asset_path
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
-from glossgen.data import build_vocab, load_corpus
+from glossgen.data import load_corpus, model_vocab
 from glossgen.models import DefinitionModel
 from glossgen.training import load_lm_sentences, pretrain_decoder, train
 
 entries, _ = load_corpus(asset_path("mini_corpus.jsonl"))
-tokens = []
-for e in entries:
-    tokens.append(e.word)
-    tokens.extend(e.definition)
-    for ctx in e.contexts:
-        tokens.extend(ctx)
-vocab = build_vocab(tokens, k=400)
+vocab = model_vocab(entries, 400)
 
 cfg = Config(
     model=ModelConfig(kind="single", d_w=24, d_h=16, d_s=64, d_attn=24,

@@ -551,7 +551,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
     in blocks of ``ADAM_CHUNK`` elements dealt round-robin to one thread per
     usable CPU (numpy releases the interpreter lock inside each ufunc). Every
     element sees the same ufuncs in the same order whatever the block or
-    thread, so results do not depend on the CPU count.
+    thread, so results do not depend on the CPU count; every block runs
+    under the caller's floating-point error state (``np.errstate``).
     """
     state.t += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
@@ -574,26 +575,30 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
         blocks += [[a[i:i + ADAM_CHUNK] for a in flat]
                    for i in range(0, p.data.size, ADAM_CHUNK)]
 
+    # numpy's error state is per thread: each worker takes the caller's
+    errstate = np.geterr()
+
     def update(share):
         scratch = np.empty((2, ADAM_CHUNK))
-        for p, g, m, v in share:
-            s1, s2 = scratch[:, :p.size]
-            np.multiply(g, grad_scale, out=s1)          # the clipped gradient
-            m *= b1
-            np.multiply(s1, 1.0 - b1, out=s2)
-            m += s2
-            np.multiply(s1, s1, out=s2)
-            s2 *= 1.0 - b2
-            v *= b2
-            v += s2
-            np.divide(m, bc1, out=s1)
-            s1 *= lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
-            p -= s1
-            g[...] = 0.0
+        with np.errstate(**errstate):
+            for p, g, m, v in share:
+                s1, s2 = scratch[:, :p.size]
+                np.multiply(g, grad_scale, out=s1)          # the clipped gradient
+                m *= b1
+                np.multiply(s1, 1.0 - b1, out=s2)
+                m += s2
+                np.multiply(s1, s1, out=s2)
+                s2 *= 1.0 - b2
+                v *= b2
+                v += s2
+                np.divide(m, bc1, out=s1)
+                s1 *= lr
+                np.divide(v, bc2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                s1 /= s2
+                p -= s1
+                g[...] = 0.0
 
     workers = min(len(os.sched_getaffinity(0)), len(blocks))
     if workers < 2:

@@ -121,10 +121,12 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     """Rebuild the model from a checkpoint. Returns (model, cfg, meta).
 
     A file-backed contextual provider is not stored in the checkpoint and
-    must be supplied by the caller when the run used one. Arrays that do not
-    fit the stored config, a provider whose width does not, a provider of
-    another kind than the run's when the model reads it, and a model too
-    large for the machine's memory are a CheckpointError naming the path.
+    must be supplied by the caller when the run used one and the model reads
+    it; with none supplied otherwise, the header-seeded deterministic one is
+    built. Arrays that do not fit the stored config, a provider whose width
+    does not, a provider of another kind than the run's when the model reads
+    it, and a model too large for the machine's memory are a CheckpointError
+    naming the path.
     """
     meta, arrays = _read(path)
     cfg = _checked_header(path, meta)
@@ -132,12 +134,12 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     vocab = Vocabulary(tokens[len(SPECIALS):])
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
-    if contextual is None and meta["contextual_kind"] == "deterministic-test":
-        contextual = ContextualProvider(cfg.model.d_e, seed=meta["contextual_seed"])
     if contextual is None:
-        raise CheckpointError(
-            f"{path}: run used a {meta['contextual_kind']} contextual provider; "
-            "supply it to load")
+        if cfg.model.contextual_on and meta["contextual_kind"] != "deterministic-test":
+            raise CheckpointError(
+                f"{path}: run used a {meta['contextual_kind']} contextual provider; "
+                "supply it to load")
+        contextual = ContextualProvider(cfg.model.d_e, seed=meta["contextual_seed"])
     if cfg.model.contextual_on and contextual.kind != meta["contextual_kind"]:
         raise CheckpointError(
             f"{path}: run used a {meta['contextual_kind']} contextual provider, "

@@ -23,8 +23,8 @@ from .checkpoint import CheckpointError, load_checkpoint, load_pretrained
 from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
                      config_digest, config_to_text, default_config,
                      load_config_file, set_key, validate)
-from .data import (SPECIALS, CorpusError, Vocabulary, apply_split_manifest, build_vocab,
-                   corpus_stats, load_corpus, load_stopwords,
+from .data import (SPECIALS, CorpusError, Vocabulary, apply_split_manifest,
+                   corpus_stats, load_corpus, load_stopwords, model_vocab,
                    partition_seen_unseen, split_by_sense, write_split_manifest)
 from .embeddings import (ContextualProvider, EmbeddingError,
                          load_contextual_file, load_word_embeddings)
@@ -46,6 +46,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviated long flags: ``_clean_argv`` drops --out-dir by its full
+    # spelling, and an abbreviation would leak the directory into the run record
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(message)
@@ -128,18 +133,10 @@ def _load_entries(cfg: Config):
     return load_corpus(path)
 
 
-def _vocab(entries, cfg: Config, stopwords=None) -> Vocabulary:
-    """Vocabulary over every definition, context and usage token. Model
-    vocabularies pass no stopwords: the decoder must emit function words."""
-    stream = [t for e in entries
-              for seq in ([e.definition] + e.contexts + [e.usage or []])
-              for t in seq]
-    return build_vocab(stream, cfg.data.vocab_size, stopwords)
-
-
 def _contextual(cfg: Config) -> ContextualProvider | None:
-    """The file-backed provider, or None for the model's deterministic one."""
-    if not cfg.data.contextual_file:
+    """The file-backed provider, or None for the model's deterministic one.
+    A model that reads no contextual feature reads no file either."""
+    if not (cfg.model.contextual_on and cfg.data.contextual_file):
         return None
     path = resolve_data_path(cfg.data.contextual_file)
     return load_contextual_file(path, cfg.model.d_e)
@@ -226,7 +223,7 @@ def cmd_data_vocab(args, cfg, run) -> int:
         path = (asset_path("stopwords.txt") if args.stopwords == "bundled"
                 else args.stopwords)
         stopwords = load_stopwords(path)
-    vocab = _vocab(entries, cfg, stopwords)
+    vocab = model_vocab(entries, cfg.data.vocab_size, stopwords)
     print(f"vocabulary size {len(vocab)} ({len(SPECIALS)} specials)  "
           f"fingerprint {vocab.fingerprint()[:12]}")
     if args.out_dir:
@@ -239,7 +236,7 @@ def cmd_data_vocab(args, cfg, run) -> int:
 def cmd_pretrain(args, cfg, run) -> int:
     out_dir = args.out_dir
     entries, _ = _load_entries(cfg)
-    vocab = _vocab(entries, cfg)
+    vocab = model_vocab(entries, cfg.data.vocab_size)
     lm_path = resolve_data_path(cfg.data.lm_corpus, "lm_corpus.txt")
     sentences = load_lm_sentences(lm_path, vocab)
     model = _build_model(cfg, vocab)
@@ -256,7 +253,7 @@ def cmd_pretrain(args, cfg, run) -> int:
 def cmd_train(args, cfg, run) -> int:
     out_dir = args.out_dir
     entries, _ = _load_entries(cfg)
-    vocab = _vocab(entries, cfg)
+    vocab = model_vocab(entries, cfg.data.vocab_size)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     splits = _splits(entries, cfg, args.manifest)
     if not args.manifest:
@@ -293,7 +290,7 @@ def cmd_train(args, cfg, run) -> int:
 def cmd_eval(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     model, _, meta = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
-    vocab = _vocab(entries, cfg)
+    vocab = model_vocab(entries, cfg.data.vocab_size)
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CliError(
             f"{args.checkpoint}: checkpoint vocabulary does not match this corpus "
@@ -336,7 +333,7 @@ ABLATION_FEATURES = (("base", {"char_on": False, "contextual_on": False}),
 
 def cmd_ablate(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
-    vocab = _vocab(entries, cfg)
+    vocab = model_vocab(entries, cfg.data.vocab_size)
     base = replace(cfg, train=replace(cfg.train, max_epochs=args.epochs))
     rows = []
     for gate in (True, False):

@@ -200,6 +200,22 @@ def build_vocab(token_stream, k: int, stopwords: set[str] | None = None) -> Voca
     return Vocabulary(kept)
 
 
+def model_vocab(entries, k: int, stopwords: set[str] | None = None) -> Vocabulary:
+    """The vocabulary a model is built over: each entry's definition,
+    contexts and usage tokens, in that order; the headword counts only where
+    a text field holds it.
+
+    A vocabulary for a model takes no stopwords, because the decoder must
+    emit function words; ``glossgen data vocab --stopwords`` passes them only
+    to print the filtered vocabulary. The stream fixes the token order, and
+    so the fingerprint that ``glossgen eval`` checks a checkpoint against.
+    """
+    stream = [t for e in entries
+              for seq in ([e.definition] + e.contexts + [e.usage or []])
+              for t in seq]
+    return build_vocab(stream, k, stopwords)
+
+
 def sense_groups(entries) -> "OrderedDict[tuple[str, str], list[DictionaryEntry]]":
     groups: OrderedDict[tuple[str, str], list[DictionaryEntry]] = OrderedDict()
     for e in entries:

@@ -441,6 +441,21 @@ class TestAdam:
         with pytest.raises(AutodiffError, match="contiguous"):
             adam_step({"p": p}, AdamState())
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_blocks_run_under_callers_errstate(self, monkeypatch, cpus):
+        # numpy's error state is per thread, and squaring these gradients
+        # overflows: under the caller's "ignore", no block may warn, whether
+        # it runs inline (1 CPU) or on a worker thread (2 CPUs)
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        params = {f"p{i}": Tensor(np.ones(40_000), requires_grad=True) for i in range(4)}
+        for p in params.values():
+            p.grad[...] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                adam_step(params, AdamState())
+        assert all(np.array_equal(p.data, np.ones(40_000)) for p in params.values())
+
     def test_clip_global_norm(self):
         a = Tensor([3.0], requires_grad=True)
         b = Tensor([4.0], requires_grad=True)

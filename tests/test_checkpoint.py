@@ -139,6 +139,25 @@ class TestGuards:
         save_checkpoint(path, build(), full_cfg())
         load_checkpoint(path, contextual=ContextualProvider(8, table=table))
 
+    def test_file_backed_header_loads_without_file_when_unread(self, tmp_path):
+        # a model reading no contextual feature loads, and runs the same,
+        # without the vector file its run named; one reading it does not
+        table = {entry().entry_id: np.ones(8)}
+        model = DefinitionModel(micro_cfg(), Vocabulary(WORDS), seed=0,
+                                contextual=ContextualProvider(8, table=table))
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, model, full_cfg())
+        loaded, _, meta = load_checkpoint(path)
+        assert meta["contextual_kind"] == "file-backed"
+        assert (loaded.forward_batch([entry()]).loss.data
+                == model.forward_batch([entry()]).loss.data)
+        cfg = full_cfg(contextual_on=True)
+        model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0,
+                                contextual=ContextualProvider(8, table=table))
+        save_checkpoint(path, model, cfg)
+        with pytest.raises(CheckpointError, match="file-backed contextual provider; supply"):
+            load_checkpoint(path)
+
     def test_repeated_vocab_token_names_path(self, tmp_path):
         path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
         save_checkpoint(path, build(), full_cfg())

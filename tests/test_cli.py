@@ -149,6 +149,14 @@ class TestDataCommands:
         assert main(["data", "split", "--out-dir", str(out)] + args) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("flag", ["--out", "--out-d", "--over"])
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # the run record drops --out-dir by its full spelling only
+        out = tmp_path / "st"
+        assert main(["data", "stats", flag, str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_and_run_record(self, trained):
@@ -261,14 +269,14 @@ class TestTrain:
 class TestContextualFile:
     """``data.contextual_file`` supplies one precomputed vector per entry id."""
 
-    def write_vectors(self, path, skip=()):
+    def write_vectors(self, path, skip=(), width=8):
         entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
         rng = np.random.default_rng(0)
         with open(path, "w", encoding="utf-8") as fh:
             for e in entries:
                 if e.entry_id not in skip:
-                    fh.write(e.entry_id + " " + " ".join(f"{v:.6f}" for v in rng.normal(size=8))
-                             + "\n")
+                    fh.write(e.entry_id + " "
+                             + " ".join(f"{v:.6f}" for v in rng.normal(size=width)) + "\n")
         return entries
 
     def args(self, cfg_path, out, vectors):
@@ -305,6 +313,26 @@ class TestContextualFile:
         self.write_vectors(vectors, skip={missing})
         assert main(["train"] + self.args(cfg_path, tmp_path / "run", vectors)) == 1
         assert missing in capsys.readouterr().err
+
+    def test_file_unread_when_contextual_off(self, cfg_path, tmp_path, capsys):
+        # 4 values per entry for an 8-wide model that reads no contextual feature
+        vectors = tmp_path / "ctx.txt"
+        self.write_vectors(vectors, width=4)
+        assert main(["train", "--config", cfg_path, "--out-dir", str(tmp_path / "run"),
+                     "--override", "train.max_epochs=1",
+                     "--override", f"data.contextual_file={vectors}"]) == 0
+
+    def test_contextual_off_checkpoint_needs_no_file(self, cfg_path, tmp_path, capsys):
+        vectors = tmp_path / "ctx.txt"
+        self.write_vectors(vectors, width=4)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg_path, "--seed", "0", "--out-dir", str(run),
+                     "--override", "model.d_e=4", "--override", "train.max_epochs=1",
+                     "--override", f"data.contextual_file={vectors}"]) == 0
+        checkpoint_path = str(run / "model.npz")
+        assert main(["eval", "--config", cfg_path, "--checkpoint", checkpoint_path]) == 0
+        assert main(["generate", "--config", cfg_path, "--checkpoint", checkpoint_path,
+                     "--word", "check", "--context", "check the oil"]) == 0
 
 
 class TestEvalAndGenerate:
@@ -506,6 +534,7 @@ class TestMalformedInputFiles:
         vectors.write_text("".join(f"{e.entry_id} 0.1 0.2 0.3 0.4\n" for e in entries))
         self.run(["eval", "--config", trained["cfg"], "--checkpoint", trained["checkpoint"],
                   "--override", f"data.contextual_file={vectors}",
+                  "--override", "model.contextual_on=true",
                   "--override", "model.d_e=4"], trained["checkpoint"], capsys)
 
     def test_eval_rejects_warm_start_file(self, trained, warm_start, capsys):

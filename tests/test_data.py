@@ -3,6 +3,7 @@ import json
 import pytest
 
 from glossgen import data as D
+from glossgen.cli import asset_path, main
 
 
 def make_record(**overrides):
@@ -154,6 +155,31 @@ class TestVocabulary:
         ids = v.encode(["cat", "dog", "sat"])
         assert ids[1] == v.unk_id
         assert v.decode(ids) == ["cat", "<unk>", "sat"]
+
+
+class TestModelVocab:
+    @pytest.mark.parametrize("stopwords, size, fingerprint", [
+        (None, 341, "2626c97f4484"), ("stopwords.txt", 314, "0ac98e548a9d")])
+    def test_bundled_corpus_matches_cli(self, stopwords, size, fingerprint, capsys):
+        """The vocabulary, and so the fingerprint checkpoints are checked
+        against, that ``glossgen data vocab`` prints."""
+        entries, _ = D.load_corpus(asset_path("mini_corpus.jsonl"))
+        v = D.model_vocab(entries, 400,
+                          D.load_stopwords(asset_path(stopwords)) if stopwords else None)
+        assert (len(v), v.fingerprint()[:12]) == (size, fingerprint)
+        assert main(["data", "vocab"] + (["--stopwords", "bundled"] if stopwords else [])) == 0
+        assert capsys.readouterr().out == (f"vocabulary size {size} (4 specials)  "
+                                           f"fingerprint {fingerprint}\n")
+
+    def test_stream_is_definition_contexts_usage(self, tmp_path):
+        path = write_corpus(tmp_path / "c.jsonl", [make_record(
+            word="zebra", definition="an animal", contexts=["an animal ran"],
+            usage="ran fast")])
+        entries, _ = D.load_corpus(path)
+        v = D.model_vocab(entries, 50)
+        # counts: an 2, animal 2, ran 2, fast 1 (usage only); no headword
+        assert v.id_to_token[4:] == ["an", "animal", "ran", "fast"]
+        assert "zebra" not in v
 
 
 def entry(word, sense, eid):
