@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import ShapeError
 from .config import Config, ConfigError, config_from_dict, config_to_dict, validate
 from .data import SPECIALS, Vocabulary
-from .embeddings import CHARS, ContextualProvider
+from .embeddings import CHARS, ContextualProvider, load_contextual_file
 from .metrics import json_text
 from .models import DefinitionModel, assign_arrays, check_fits_memory
 
@@ -117,16 +117,18 @@ def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) ->
     _write(path, meta, model.state_arrays())
 
 
-def load_checkpoint(path, contextual: ContextualProvider | None = None):
+def load_checkpoint(path, contextual: ContextualProvider | str | os.PathLike | None = None):
     """Rebuild the model from a checkpoint. Returns (model, cfg, meta).
 
     A file-backed contextual provider is not stored in the checkpoint and
     must be supplied by the caller when the run used one and the model reads
-    it; with none supplied otherwise, the header-seeded deterministic one is
-    built. Arrays that do not fit the stored config, a provider whose width
-    does not, a provider of another kind than the run's when the model reads
-    it, and a model too large for the machine's memory are a CheckpointError
-    naming the path.
+    it: built, or as the path of its vector file, which is read at the stored
+    ``model.d_e`` and only when the stored model reads the feature. With none
+    supplied otherwise, the header-seeded deterministic one is built. Arrays
+    that do not fit the stored config, a provider whose width does not, a
+    provider of another kind than the run's when the model reads it, and a
+    model too large for the machine's memory are a CheckpointError naming the
+    path.
     """
     meta, arrays = _read(path)
     cfg = _checked_header(path, meta)
@@ -134,6 +136,9 @@ def load_checkpoint(path, contextual: ContextualProvider | None = None):
     vocab = Vocabulary(tokens[len(SPECIALS):])
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
+    if isinstance(contextual, (str, os.PathLike)):
+        contextual = (load_contextual_file(contextual, cfg.model.d_e)
+                      if cfg.model.contextual_on else None)
     if contextual is None:
         if cfg.model.contextual_on and meta["contextual_kind"] != "deterministic-test":
             raise CheckpointError(

@@ -26,8 +26,7 @@ from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
 from .data import (SPECIALS, CorpusError, Vocabulary, apply_split_manifest,
                    corpus_stats, load_corpus, load_stopwords, model_vocab,
                    partition_seen_unseen, split_by_sense, write_split_manifest)
-from .embeddings import (ContextualProvider, EmbeddingError,
-                         load_contextual_file, load_word_embeddings)
+from .embeddings import EmbeddingError, load_contextual_file, load_word_embeddings
 from .metrics import MetricsError, evaluate, format_report, json_text, report_lines
 from .models import DefinitionModel, check_fits_memory, expected_param_count
 from .training import (TrainingError, load_lm_sentences, make_query_entry,
@@ -133,13 +132,11 @@ def _load_entries(cfg: Config):
     return load_corpus(path)
 
 
-def _contextual(cfg: Config) -> ContextualProvider | None:
-    """The file-backed provider, or None for the model's deterministic one.
-    A model that reads no contextual feature reads no file either."""
-    if not (cfg.model.contextual_on and cfg.data.contextual_file):
-        return None
-    path = resolve_data_path(cfg.data.contextual_file)
-    return load_contextual_file(path, cfg.model.d_e)
+def _contextual_file(cfg: Config) -> str | None:
+    """The contextual vector file's path, or None for the deterministic
+    provider. Whether it is read, and at what width, is the model's call:
+    its config's ``model.contextual_on`` and ``model.d_e``."""
+    return resolve_data_path(cfg.data.contextual_file) if cfg.data.contextual_file else None
 
 
 def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
@@ -150,9 +147,11 @@ def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
         pretrained, coverage = load_word_embeddings(path, vocab, seed=cfg.train.seed,
                                                     dim=cfg.model.d_w)
         print(f"embedding file covers {coverage:.1%} of the vocabulary")
+    path = _contextual_file(cfg)
+    contextual = (load_contextual_file(path, cfg.model.d_e)
+                  if path and cfg.model.contextual_on else None)
     return DefinitionModel(cfg.model, vocab, seed=cfg.train.seed,
-                           pretrained_matrix=pretrained,
-                           contextual=_contextual(cfg))
+                           pretrained_matrix=pretrained, contextual=contextual)
 
 
 @contextmanager
@@ -289,7 +288,7 @@ def cmd_train(args, cfg, run) -> int:
 
 def cmd_eval(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
-    model, _, meta = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
+    model, _, meta = load_checkpoint(args.checkpoint, contextual=_contextual_file(cfg))
     vocab = model_vocab(entries, cfg.data.vocab_size)
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CliError(
@@ -309,7 +308,7 @@ def cmd_eval(args, cfg, run) -> int:
 def cmd_generate(args, cfg, run) -> int:
     if args.temperature is not None and not args.temperature > 0:
         raise CliError(f"--temperature must be positive, got {args.temperature}")
-    model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual(cfg))
+    model, _, _ = load_checkpoint(args.checkpoint, contextual=_contextual_file(cfg))
     if args.task not in model.tasks:
         raise CliError(f"{args.checkpoint}: a {model.cfg.kind} checkpoint has no "
                        f"{args.task!r} task")

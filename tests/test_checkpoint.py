@@ -158,6 +158,22 @@ class TestGuards:
         with pytest.raises(CheckpointError, match="file-backed contextual provider; supply"):
             load_checkpoint(path)
 
+    def test_vector_file_read_at_stored_width_when_read(self, tmp_path):
+        # a vector file's path is read at the stored d_e, only by a model reading it
+        vectors = tmp_path / "ctx.txt"
+        vectors.write_text(f"{entry().entry_id}" + " 0.5" * 8 + "\n")
+        cfg = full_cfg(contextual_on=True)
+        model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0,
+                                contextual=ContextualProvider(8, table={
+                                    entry().entry_id: np.full(8, 0.5)}))
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, model, cfg)
+        loaded, _, _ = load_checkpoint(path, contextual=vectors)
+        assert (loaded.forward_batch([entry()]).loss.data
+                == model.forward_batch([entry()]).loss.data)
+        save_checkpoint(path, build(), full_cfg())
+        load_checkpoint(path, contextual=tmp_path / "absent.txt")
+
     def test_repeated_vocab_token_names_path(self, tmp_path):
         path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
         save_checkpoint(path, build(), full_cfg())

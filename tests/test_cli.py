@@ -322,6 +322,22 @@ class TestContextualFile:
                      "--override", "train.max_epochs=1",
                      "--override", f"data.contextual_file={vectors}"]) == 0
 
+    def test_eval_reads_file_as_checkpoint_does(self, cfg_path, tmp_path, capsys):
+        # contextual_on and the width come from the checkpoint; the command's
+        # config (contextual off, d_e 8) names only the file
+        vectors = tmp_path / "ctx.txt"
+        self.write_vectors(vectors, width=4)
+        with open(vectors, "a", encoding="utf-8") as fh:
+            fh.write("query-0 0.1 0.2 0.3 0.4\n")  # generate's one context
+        run = tmp_path / "run"
+        assert main(["train", "--override", "model.d_e=4"]
+                    + self.args(cfg_path, run, vectors)) == 0
+        checkpoint_path = str(run / "model.npz")
+        given = ["--config", cfg_path, "--checkpoint", checkpoint_path,
+                 "--override", f"data.contextual_file={vectors}"]
+        assert main(["eval"] + given) == 0
+        assert main(["generate"] + given + ["--word", "check", "--context", "check the oil"]) == 0
+
     def test_contextual_off_checkpoint_needs_no_file(self, cfg_path, tmp_path, capsys):
         vectors = tmp_path / "ctx.txt"
         self.write_vectors(vectors, width=4)
@@ -528,14 +544,20 @@ class TestMalformedInputFiles:
         self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(path)],
                  path, capsys)
 
-    def test_contextual_file_narrower_than_checkpoint(self, trained, tmp_path, capsys):
+    def test_contextual_file_narrower_than_checkpoint(self, cfg_path, tmp_path, capsys):
+        # the file is read at the checkpoint's width, 8, whatever the command's
+        # model.d_e says, so a 4-wide file is a malformed vector file
         entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
-        vectors = tmp_path / "vec4.txt"
-        vectors.write_text("".join(f"{e.entry_id} 0.1 0.2 0.3 0.4\n" for e in entries))
-        self.run(["eval", "--config", trained["cfg"], "--checkpoint", trained["checkpoint"],
-                  "--override", f"data.contextual_file={vectors}",
-                  "--override", "model.contextual_on=true",
-                  "--override", "model.d_e=4"], trained["checkpoint"], capsys)
+        vec8, vec4, run = tmp_path / "vec8.txt", tmp_path / "vec4.txt", tmp_path / "run"
+        vec8.write_text("".join(f"{e.entry_id}" + " 0.1" * 8 + "\n" for e in entries))
+        vec4.write_text("".join(f"{e.entry_id}" + " 0.1" * 4 + "\n" for e in entries))
+        assert main(["train", "--config", cfg_path, "--out-dir", str(run),
+                     "--override", "model.contextual_on=true",
+                     "--override", "train.max_epochs=1",
+                     "--override", f"data.contextual_file={vec8}"]) == 0
+        self.run(["eval", "--config", cfg_path, "--checkpoint", str(run / "model.npz"),
+                  "--override", f"data.contextual_file={vec4}",
+                  "--override", "model.d_e=4"], vec4, capsys)
 
     def test_eval_rejects_warm_start_file(self, trained, warm_start, capsys):
         self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(warm_start)],
