@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import ShapeError
 from .config import Config, ConfigError, config_from_dict, config_to_dict, validate
 from .data import SPECIALS, Vocabulary
-from .embeddings import CHARS, ContextualProvider, load_contextual_file
+from .embeddings import CHARS
 from .metrics import json_text
 from .models import DefinitionModel, assign_arrays, check_fits_memory
 
@@ -117,18 +117,14 @@ def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) ->
     _write(path, meta, model.state_arrays())
 
 
-def load_checkpoint(path, contextual: ContextualProvider | str | os.PathLike | None = None):
+def load_checkpoint(path, contextual_file: str | os.PathLike | None = None):
     """Rebuild the model from a checkpoint. Returns (model, cfg, meta).
 
-    A file-backed contextual provider is not stored in the checkpoint and
-    must be supplied by the caller when the run used one and the model reads
-    it: built, or as the path of its vector file, which is read at the stored
-    ``model.d_e`` and only when the stored model reads the feature. With none
-    supplied otherwise, the header-seeded deterministic one is built. Arrays
-    that do not fit the stored config, a provider whose width does not, a
-    provider of another kind than the run's when the model reads it, and a
-    model too large for the machine's memory are a CheckpointError naming the
-    path.
+    File-backed contextual vectors are not stored: when the stored model
+    reads them, the caller gives the vector file's path. Arrays that do not
+    fit the stored config, a provider of another kind than the run's or a
+    deterministic one seeded apart from the model (when the model reads it),
+    and a model too large for memory are a CheckpointError naming the path.
     """
     meta, arrays = _read(path)
     cfg = _checked_header(path, meta)
@@ -136,22 +132,22 @@ def load_checkpoint(path, contextual: ContextualProvider | str | os.PathLike | N
     vocab = Vocabulary(tokens[len(SPECIALS):])
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
-    if isinstance(contextual, (str, os.PathLike)):
-        contextual = (load_contextual_file(contextual, cfg.model.d_e)
-                      if cfg.model.contextual_on else None)
-    if contextual is None:
-        if cfg.model.contextual_on and meta["contextual_kind"] != "deterministic-test":
+    if cfg.model.contextual_on:
+        stored = meta["contextual_kind"]
+        if contextual_file is not None:
+            if stored != "file-backed":
+                raise CheckpointError(f"{path}: run used a {stored} contextual provider, "
+                                      "not the file-backed one supplied")
+        elif stored != "deterministic-test":
             raise CheckpointError(
-                f"{path}: run used a {meta['contextual_kind']} contextual provider; "
-                "supply it to load")
-        contextual = ContextualProvider(cfg.model.d_e, seed=meta["contextual_seed"])
-    if cfg.model.contextual_on and contextual.kind != meta["contextual_kind"]:
-        raise CheckpointError(
-            f"{path}: run used a {meta['contextual_kind']} contextual provider, "
-            f"not the {contextual.kind} one supplied")
+                f"{path}: run used a {stored} contextual provider; supply it to load")
+        elif meta["contextual_seed"] != meta["seed"]:
+            raise CheckpointError(f"{path}: header field 'contextual_seed' is not 'seed', "
+                                  "which seeds the model's contextual features")
     try:
         check_fits_memory(cfg.model, len(vocab), training=False)
-        model = DefinitionModel(cfg.model, vocab, seed=meta["seed"], contextual=contextual)
+        model = DefinitionModel(cfg.model, vocab, seed=meta["seed"],
+                                contextual_file=contextual_file)
         model.load_state_arrays(arrays)
     except (ConfigError, ShapeError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None

@@ -2,7 +2,8 @@
 
 Corpus wire format: UTF-8 JSON, one entry per line, fields
 ``id, word, pos, sense_id, definition, contexts`` plus optional ``domain``
-and ``usage``. Text fields are lowercased and whitespace-tokenized on load.
+and ``usage``, each a JSON string (``contexts``: a list of 1 to 3; optional
+ones may be null). Text fields are lowercased and whitespace-tokenized on load.
 """
 
 from __future__ import annotations
@@ -76,10 +77,14 @@ def _parse_entry(record: dict) -> DictionaryEntry:
     for key in ("id", "word", "pos", "sense_id", "definition", "contexts"):
         if key not in record:
             raise ValueError(f"missing field {key!r}")
-    word = str(record["word"]).lower().strip()
+    for key in ("id", "word", "pos", "sense_id", "definition", "usage", "domain"):
+        value = record.get(key)
+        if not (isinstance(value, str) or value is None and key in ("usage", "domain")):
+            raise ValueError(f"field {key!r} is not a string")
+    word = record["word"].lower().strip()
     if not word or not word.isalpha():
         raise ValueError(f"word {word!r} is empty or not alphabetic")
-    definition = tokenize(str(record["definition"]))
+    definition = tokenize(record["definition"])
     if not definition:
         raise ValueError("empty definition")
     raw_contexts = record["contexts"]
@@ -87,23 +92,22 @@ def _parse_entry(record: dict) -> DictionaryEntry:
         raise ValueError("contexts must be a list of 1 to 3 sentences")
     contexts = []
     for c in raw_contexts:
-        toks = tokenize(str(c))
+        toks = tokenize(c) if isinstance(c, str) else []
         if not toks:
-            raise ValueError("empty context sentence")
+            raise ValueError("field 'contexts' holds an empty or non-string sentence")
         contexts.append(toks)
-    usage_text = str(record.get("usage") or "")
-    usage = tokenize(usage_text) or None
+    usage = tokenize(record.get("usage") or "") or None
     return DictionaryEntry(
-        entry_id=str(record["id"]),
+        entry_id=record["id"],
         word=word,
-        pos=str(record["pos"]),
-        sense_id=str(record["sense_id"]),
+        pos=record["pos"],
+        sense_id=record["sense_id"],
         definition=definition,
         contexts=contexts,
         context_target_indices=[find_target_occurrence(c, word) for c in contexts],
         usage=usage,
         usage_target_index=find_target_occurrence(usage, word) if usage else None,
-        domain=(str(record["domain"]) if record.get("domain") is not None else None),
+        domain=record.get("domain"),
     )
 
 

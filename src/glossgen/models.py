@@ -20,7 +20,7 @@ from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits
 from .config import KINDS, ConfigError, ModelConfig
 from .data import SPECIALS, Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, InitStateProjector, sample_sequence
-from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot
+from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot, load_contextual_file
 from .encoder import ContextEncoder, SenseAttention
 
 
@@ -120,15 +120,20 @@ class DefinitionModel:
     Construction draws from independent child generators in a fixed order
     (tables, encoder, attention, char, specials, init, definition decoder,
     usage decoder, shortcut), so the shared layers and the definition decoder
-    are bit-identical across kinds at equal seeds.
+    are bit-identical across kinds at equal seeds. The vector file
+    ``contextual_file`` is read, at ``cfg.d_e``, only when ``cfg.contextual_on``;
+    otherwise e* comes from the deterministic provider seeded with ``seed``.
     """
 
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary, seed: int,
                  pretrained_matrix: np.ndarray | None = None,
-                 contextual: ContextualProvider | None = None):
+                 contextual_file: str | os.PathLike | None = None):
         self.cfg = cfg
         self.vocab = vocab
         self.seed = seed
+        self.contextual = (load_contextual_file(contextual_file, cfg.d_e)
+                           if contextual_file is not None and cfg.contextual_on
+                           else ContextualProvider(cfg.d_e, seed=seed))
         v = len(vocab)
         kids = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(10)]
 
@@ -162,10 +167,6 @@ class DefinitionModel:
                                           cfg.gate_on, "usg")
         if hierarchical:
             self.shortcut = Tensor(glorot(kids[9], (g + cfg.d_s, g)), requires_grad=True)
-        self.contextual = contextual or ContextualProvider(cfg.d_e, seed=seed)
-        if self.contextual.dim != cfg.d_e:
-            raise ShapeError(
-                f"contextual provider dim {self.contextual.dim} != model d_e {cfg.d_e}")
 
     # -- parameters ---------------------------------------------------------
 

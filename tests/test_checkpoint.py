@@ -9,7 +9,6 @@ from glossgen.checkpoint import (FORMAT_VERSION, META_KEY, CheckpointError,
                                  save_checkpoint, save_pretrained)
 from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig, config_to_dict
 from glossgen.data import DictionaryEntry, Vocabulary
-from glossgen.embeddings import ContextualProvider
 from glossgen.models import DefinitionModel
 
 WORDS = ["check", "run", "walk", "cat", "dog", "sun", "tree", "bird",
@@ -40,6 +39,12 @@ def build(seed=0, **kw):
     return DefinitionModel(micro_cfg(**kw), Vocabulary(WORDS), seed=seed)
 
 
+def write_vectors(path, value=1.0):
+    """An 8-wide contextual vector file holding ``entry()``'s vector."""
+    path.write_text(f"{entry().entry_id}" + f" {value}" * 8 + "\n")
+    return path
+
+
 def _tamper(path, new_path, **meta_changes):
     """Rewrite a checkpoint with edited header fields."""
     with np.load(path, allow_pickle=False) as data:
@@ -62,12 +67,14 @@ class TestRoundTrip:
         for name in orig:
             assert np.array_equal(orig[name], new[name]), name
 
-    def test_forward_identical_after_reload(self, tmp_path):
-        model = build(seed=5, kind="hier-du", s0_variant="word")
+    @pytest.mark.parametrize("contextual_on", [False, True])
+    def test_forward_identical_after_reload(self, tmp_path, contextual_on):
+        kw = dict(kind="hier-du", s0_variant="word", contextual_on=contextual_on)
+        model = build(seed=5, **kw)
         e = entry()
         e.usage = ["the", "check", "works"]
         path = tmp_path / "m.npz"
-        save_checkpoint(path, model, full_cfg(kind="hier-du", s0_variant="word"))
+        save_checkpoint(path, model, full_cfg(**kw))
         loaded, _, _ = load_checkpoint(path)
         a = model.forward_batch([e])
         b = loaded.forward_batch([e])
@@ -132,47 +139,60 @@ class TestGuards:
         model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0)
         path = tmp_path / "m.npz"
         save_checkpoint(path, model, cfg)
-        table = {entry().entry_id: np.ones(cfg.model.d_e)}
+        vectors = write_vectors(tmp_path / "ctx.txt")
         with pytest.raises(CheckpointError, match="deterministic-test.*file-backed"):
-            load_checkpoint(path, contextual=ContextualProvider(cfg.model.d_e, table=table))
+            load_checkpoint(path, vectors)
         # a model that does not read the features loads with any provider
         save_checkpoint(path, build(), full_cfg())
-        load_checkpoint(path, contextual=ContextualProvider(8, table=table))
+        load_checkpoint(path, vectors)
 
     def test_file_backed_header_loads_without_file_when_unread(self, tmp_path):
         # a model reading no contextual feature loads, and runs the same,
         # without the vector file its run named; one reading it does not
-        table = {entry().entry_id: np.ones(8)}
-        model = DefinitionModel(micro_cfg(), Vocabulary(WORDS), seed=0,
-                                contextual=ContextualProvider(8, table=table))
-        path = tmp_path / "m.npz"
+        vectors = write_vectors(tmp_path / "ctx.txt")
+        model = DefinitionModel(micro_cfg(), Vocabulary(WORDS), seed=0, contextual_file=vectors)
+        path, old = tmp_path / "m.npz", tmp_path / "old.npz"
         save_checkpoint(path, model, full_cfg())
-        loaded, _, meta = load_checkpoint(path)
+        # such a model builds no file-backed provider; earlier writers
+        # recorded the one they were given
+        _tamper(path, old, contextual_kind="file-backed")
+        loaded, _, meta = load_checkpoint(old)
         assert meta["contextual_kind"] == "file-backed"
         assert (loaded.forward_batch([entry()]).loss.data
                 == model.forward_batch([entry()]).loss.data)
         cfg = full_cfg(contextual_on=True)
-        model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0,
-                                contextual=ContextualProvider(8, table=table))
+        model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0, contextual_file=vectors)
         save_checkpoint(path, model, cfg)
         with pytest.raises(CheckpointError, match="file-backed contextual provider; supply"):
             load_checkpoint(path)
 
     def test_vector_file_read_at_stored_width_when_read(self, tmp_path):
         # a vector file's path is read at the stored d_e, only by a model reading it
-        vectors = tmp_path / "ctx.txt"
-        vectors.write_text(f"{entry().entry_id}" + " 0.5" * 8 + "\n")
+        vectors = write_vectors(tmp_path / "ctx.txt", value=0.5)
         cfg = full_cfg(contextual_on=True)
-        model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0,
-                                contextual=ContextualProvider(8, table={
-                                    entry().entry_id: np.full(8, 0.5)}))
+        model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0, contextual_file=vectors)
         path = tmp_path / "m.npz"
         save_checkpoint(path, model, cfg)
-        loaded, _, _ = load_checkpoint(path, contextual=vectors)
+        loaded, _, _ = load_checkpoint(path, vectors)
         assert (loaded.forward_batch([entry()]).loss.data
                 == model.forward_batch([entry()]).loss.data)
         save_checkpoint(path, build(), full_cfg())
-        load_checkpoint(path, contextual=tmp_path / "absent.txt")
+        load_checkpoint(path, tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize("contextual_on", [False, True])
+    def test_contextual_seed_apart_from_model_seed(self, tmp_path, contextual_on):
+        # the deterministic provider is seeded with the model seed; a header
+        # saying otherwise would load with other features than the run's
+        cfg = full_cfg(contextual_on=contextual_on)
+        path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+        save_checkpoint(path, build(seed=2, contextual_on=contextual_on), cfg)
+        _tamper(path, bad, contextual_seed=7)
+        if contextual_on:
+            with pytest.raises(CheckpointError,
+                               match=f"^{re.escape(str(bad))}: .*'contextual_seed'"):
+                load_checkpoint(bad)
+        else:
+            assert load_checkpoint(bad)[0].seed == 2
 
     def test_repeated_vocab_token_names_path(self, tmp_path):
         path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from glossgen import checkpoint
 from glossgen.autodiff import ShapeError
 from glossgen.cli import main, resolve_data_path
-from glossgen.config import default_config
+from glossgen.config import S0_VARIANTS, default_config
 from glossgen.data import load_corpus, split_by_sense
 from glossgen.models import DefinitionModel, expected_param_count
 
@@ -619,6 +619,22 @@ class TestAblate:
         first = json.loads((out / "ablation.jsonl").read_text().splitlines()[0])
         assert first == {k: record[k] for k in ("command", "config_digest")}
         assert "--out-dir" not in first["command"]
+
+    def test_each_row_reads_vector_file_by_its_own_config(self, cfg_path, tmp_path, capsys):
+        # the command's config reads no contextual feature, but the "+ctx" rows
+        # do, at d_e 8: a 4-wide file stops the first of them, after every
+        # "base" row has trained without opening it
+        entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
+        vectors = tmp_path / "vec4.txt"
+        vectors.write_text("".join(f"{e.entry_id}" + " 0.1" * 4 + "\n" for e in entries))
+        code = main(["ablate", "--config", cfg_path, "--out-dir", str(tmp_path / "abl"),
+                     "--override", f"data.contextual_file={vectors}"])
+        out, err = capsys.readouterr()
+        assert code == 1, err
+        assert str(vectors) in err and "internal error" not in err
+        rows = [line for line in out.splitlines() if line.startswith("gate=")]
+        assert len(rows) == len(S0_VARIANTS)
+        assert all("features=base" in row for row in rows)
 
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_epochs_below_one_is_user_error(self, cfg_path, tmp_path, capsys, epochs):

@@ -88,6 +88,26 @@ class TestLoadCorpus:
         _, report = D.load_corpus(path)
         assert report.n_malformed == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("definition", None), ("definition", ["a", "mark"]), ("contexts", [["he", "checks"]]),
+        ("usage", ["a", "check"]), ("usage", 5), ("sense_id", None), ("pos", {"n": 1}),
+        ("id", 3), ("word", True), ("domain", 2)])
+    def test_non_string_field_is_malformed(self, tmp_path, field, value):
+        # a field's Python text (None, ['a', 'mark']) is never tokenized
+        path = write_corpus(tmp_path / "c.jsonl",
+                            [make_record(), make_record(**{"id": "e2", field: value})])
+        entries, report = D.load_corpus(path)
+        assert [e.entry_id for e in entries] == ["e1"]
+        assert report.malformed[0][0] == 2 and repr(field) in report.malformed[0][1]
+
+    def test_optional_fields_may_be_null_or_absent(self, tmp_path):
+        bare = make_record(id="e2")
+        del bare["usage"]
+        path = write_corpus(tmp_path / "c.jsonl", [make_record(usage=None, domain=None), bare])
+        entries, report = D.load_corpus(path)
+        assert report.n_malformed == 0
+        assert [(e.usage, e.domain) for e in entries] == [(None, None), (None, None)]
+
     def test_absent_target_counted(self, tmp_path):
         path = write_corpus(
             tmp_path / "c.jsonl", [make_record(contexts=["totally unrelated words"])])
