@@ -29,8 +29,11 @@ class NumericalError(AutodiffError):
 class Tensor:
     """Dense n-d array that can participate in gradient taping.
 
-    ``grad`` is allocated (zeros, same shape as ``data``) exactly when
-    ``requires_grad`` is True, and gradients accumulate additively into it.
+    ``grad`` is None until a backward pass gives the tensor its first
+    contribution, which becomes the gradient (a C-contiguous array shaped
+    like ``data``); later contributions add into it. ``adam_step`` and
+    ``zero_grads`` drop it back to None, so gradients exist only between
+    backward and the optimizer step.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -38,7 +41,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.grad = None
 
     @classmethod
     def _wrap(cls, array):
@@ -47,11 +50,6 @@ class Tensor:
         t.requires_grad = False
         t.grad = None
         return t
-
-    def _promote(self):
-        if not self.requires_grad:
-            self.requires_grad = True
-            self.grad = np.zeros_like(self.data)
 
     @property
     def shape(self):
@@ -65,10 +63,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor has {self.data.size} elements, expected 1")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -121,6 +115,26 @@ def active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _accumulate(t: Tensor, contribution, shared: bool = False) -> None:
+    """Add one backward contribution to ``t.grad``. The first becomes the
+    gradient, with no zero buffer: copied when ``shared`` (the output's own
+    gradient or a view of it, which another tensor may also take), and made
+    C-contiguous (a transposed product) so that Adam can walk it flat."""
+    if t.grad is not None:
+        t.grad += contribution
+    elif shared:
+        t.grad = np.array(contribution, order="C")
+    else:
+        t.grad = np.asarray(contribution, order="C")
+
+
+def _scatter_target(t: Tensor) -> np.ndarray:
+    """``t.grad`` for a rule that adds into parts of it: zeros on first use."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
 def _finish(op, inputs, out_array, backward_fn):
     """Wrap a primitive's result, check finiteness, record on the active tape."""
     if not np.all(np.isfinite(out_array)):
@@ -128,7 +142,7 @@ def _finish(op, inputs, out_array, backward_fn):
     out = Tensor._wrap(out_array)
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
-        out._promote()
+        out.requires_grad = True
         tape._record(Node(op, inputs, out, backward_fn))
     return out
 
@@ -180,14 +194,14 @@ def matmul(a: Tensor, b: Tensor, transpose_a=False, transpose_b=False) -> Tensor
                 ga = ga[0]
             elif transpose_a:
                 ga = ga.T
-            a.grad += ga
+            _accumulate(a, ga)
         if b.requires_grad:
             gb = A2.T @ g2
             if b_vec:
                 gb = gb[:, 0]
             elif transpose_b:
                 gb = gb.T
-            b.grad += gb
+            _accumulate(b, gb)
 
     return _finish("matmul", (a, b), out, backward)
 
@@ -205,9 +219,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g, shared=True)
         if b.requires_grad:
-            b.grad += g.sum(axis=0) if broadcast else g
+            if broadcast:
+                _accumulate(b, g.sum(axis=0))
+            else:
+                _accumulate(b, g, shared=True)
 
     return _finish("add", (a, b), out, backward)
 
@@ -237,7 +254,7 @@ def concat(tensors, axis: int) -> Tensor:
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.grad += g[tuple(idx)]
+                _accumulate(t, g[tuple(idx)], shared=True)
 
     return _finish("concat", tuple(tensors), out, backward)
 
@@ -250,9 +267,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * b.data
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            b.grad += g * a.data
+            _accumulate(b, g * a.data)
 
     return _finish("elementwise-mul", (a, b), out, backward)
 
@@ -268,7 +285,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += g * y * (1.0 - y)
+            _accumulate(x, g * y * (1.0 - y))
 
     return _finish("sigmoid", (x,), y, backward)
 
@@ -279,7 +296,7 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += g * (1.0 - y * y)
+            _accumulate(x, g * (1.0 - y * y))
 
     return _finish("tanh", (x,), y, backward)
 
@@ -293,7 +310,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         if x.requires_grad:
             inner = (g * y).sum(axis=axis, keepdims=True)
-            x.grad += y * (g - inner)
+            _accumulate(x, y * (g - inner))
 
     return _finish("softmax", (x,), y, backward)
 
@@ -310,7 +327,7 @@ def max_over_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
             g_exp = g if keepdims else np.expand_dims(g, axis=axis)
             scatter = np.zeros_like(x.data)
             np.put_along_axis(scatter, idx, g_exp, axis=axis)
-            x.grad += scatter
+            _accumulate(x, scatter)
 
     return _finish("max-over-axis", (x,), out, backward)
 
@@ -332,7 +349,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            np.add.at(table.grad, ids, g)
+            np.add.at(_scatter_target(table), ids, g)
 
     return _finish("embedding-lookup", (table,), out, backward)
 
@@ -360,9 +377,9 @@ def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     def backward(g):
         for i in range(w):
             if x.requires_grad:
-                x.grad[i:i + lout] += g @ K[i].T
+                _scatter_target(x)[i:i + lout] += g @ K[i].T
             if kernel.requires_grad:
-                kernel.grad[i] += X[i:i + lout].T @ g
+                _scatter_target(kernel)[i] += X[i:i + lout].T @ g
 
     return _finish("conv1d", (x, kernel), out, backward)
 
@@ -393,7 +410,7 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
         if logits.requires_grad:
             soft = e / denom[:, None]
             soft[rows, targets] -= 1.0
-            logits.grad += soft * g[:, None]
+            _accumulate(logits, soft * g[:, None])
 
     return _finish("cross-entropy-from-logits", (logits,), out, backward)
 
@@ -405,7 +422,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += g * c
+            _accumulate(x, g * c)
 
     return _finish("scale", (x,), out, backward)
 
@@ -424,7 +441,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad[idx] += g
+            _scatter_target(x)[idx] += g
 
     return _finish("slice", (x,), out, backward)
 
@@ -461,15 +478,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Populate gradients of every requires_grad tensor reachable from loss.
 
     Loss must be a size-1 tensor produced on this tape. Gradients accumulate
-    additively, both across multiple uses of a leaf and across calls.
+    additively, both across multiple uses of a leaf and across calls until
+    ``adam_step`` or ``zero_grads`` drops them. A node whose output received
+    no gradient (a branch the loss does not read) is skipped.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not tape.owns(loss):
         raise AutodiffError("backward: loss was not produced on this tape")
-    loss.grad += np.ones_like(loss.data)
+    loss.grad = np.ones(loss.data.shape)
     for node in reversed(tape.nodes):
-        node.backward_fn(node.output.grad)
+        if node.output.grad is not None:
+            node.backward_fn(node.output.grad)
 
 
 def grad_check(f, point, h: float = 1e-5, coord_limit: int | None = None, seed: int = 0):
@@ -487,11 +507,11 @@ def grad_check(f, point, h: float = 1e-5, coord_limit: int | None = None, seed: 
     for p in point:
         if not p.requires_grad:
             raise ValueError("grad_check: every point tensor must require grad")
-        p.zero_grad()
+        p.grad = None
     with Tape() as tape:
         loss = f(*point)
         backward(tape, loss)
-    analytic = [p.grad.copy() for p in point]
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad for p in point]
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -546,8 +566,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
     """One bias-corrected Adam update, in place, from each param's .grad.
 
     Each gradient is multiplied by ``grad_scale`` (the clip factor; 1.0 is
-    exact) as it is read, and is consumed: every gradient is zero when the
-    step returns, ready to accumulate the next backward pass. The update runs
+    exact) as it is read. A None gradient (no contribution reached the
+    parameter) is read as zeros, so m and v still decay and the parameter
+    still moves, bit for bit as with a zero array. Every gradient is consumed:
+    each ``p.grad`` is None when the step returns. The update runs
     in blocks of ``ADAM_CHUNK`` elements dealt round-robin to one thread per
     usable CPU (numpy releases the interpreter lock inside each ufunc). Every
     element sees the same ufuncs in the same order whatever the block or
@@ -560,17 +582,16 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
     bc2 = 1.0 - b2 ** state.t
     blocks = []
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            raise AutodiffError(f"adam_step: parameter {name!r} has no gradient")
         m = state.m.setdefault(name, np.zeros(p.data.shape, p.data.dtype))
         v = state.v.setdefault(name, np.zeros(p.data.shape, p.data.dtype))
         if m.shape != p.data.shape:
             raise ShapeError(
                 f"adam_step: state shape {m.shape} does not match parameter "
                 f"{name!r} shape {p.data.shape}")
-        if not (p.data.flags.c_contiguous and g.flags.c_contiguous):
+        if not (p.data.flags.c_contiguous and (p.grad is None or p.grad.flags.c_contiguous)):
             raise AutodiffError(f"adam_step: parameter {name!r} is not contiguous")
+        # a read-only stride-0 view of one zero stands in for a missing gradient
+        g = np.broadcast_to(0.0, p.data.shape) if p.grad is None else p.grad
         flat = [a.reshape(-1) for a in (p.data, g, m, v)]
         blocks += [[a[i:i + ADAM_CHUNK] for a in flat]
                    for i in range(0, p.data.size, ADAM_CHUNK)]
@@ -598,16 +619,17 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
                 s2 += eps
                 s1 /= s2
                 p -= s1
-                g[...] = 0.0
 
     workers = min(len(os.sched_getaffinity(0)), len(blocks))
     if workers < 2:
         update(blocks)
-        return
-    # a pool per call: a module-level pool would reach a forked child with
-    # no threads behind it
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(update, [blocks[i::workers] for i in range(workers)]))
+    else:
+        # a pool per call: a module-level pool would reach a forked child
+        # with no threads behind it
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(update, [blocks[i::workers] for i in range(workers)]))
+    for p in params.values():
+        p.grad = None
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
@@ -637,5 +659,6 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:
+    """Drop every gradient, so the next backward pass starts each afresh."""
     for p in params.values():
-        p.zero_grad()
+        p.grad = None

@@ -151,6 +151,21 @@ def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
                            contextual_file=_contextual_file(cfg))
 
 
+def _check_model_overrides(args, cfg: Config, stored: Config) -> None:
+    """The checkpoint fixes the model ``eval`` and ``generate`` run, so an
+    ``--override model.<key>`` that differs from its stored value would
+    change nothing yet enter the run record: a CliError naming both values."""
+    for item in args.override:
+        key = item.split("=", 1)[0].strip()
+        section, _, name = key.partition(".")
+        if section != "model":
+            continue
+        given, fixed = getattr(cfg.model, name), getattr(stored.model, name)
+        if given != fixed:
+            raise CliError(f"{args.checkpoint}: --override {key}={given} differs from "
+                           f"the checkpoint's {key} = {fixed}, which fixes the model")
+
+
 @contextmanager
 def _checkpoint_numerics(path: str):
     """A loaded checkpoint is outside input: its parameters may be finite yet
@@ -285,7 +300,8 @@ def cmd_train(args, cfg, run) -> int:
 
 def cmd_eval(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
-    model, _, meta = load_checkpoint(args.checkpoint, _contextual_file(cfg))
+    model, stored, meta = load_checkpoint(args.checkpoint, _contextual_file(cfg))
+    _check_model_overrides(args, cfg, stored)
     vocab = model_vocab(entries, cfg.data.vocab_size)
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CliError(
@@ -305,7 +321,8 @@ def cmd_eval(args, cfg, run) -> int:
 def cmd_generate(args, cfg, run) -> int:
     if args.temperature is not None and not args.temperature > 0:
         raise CliError(f"--temperature must be positive, got {args.temperature}")
-    model, _, _ = load_checkpoint(args.checkpoint, _contextual_file(cfg))
+    model, stored, _ = load_checkpoint(args.checkpoint, _contextual_file(cfg))
+    _check_model_overrides(args, cfg, stored)
     if args.task not in model.tasks:
         raise CliError(f"{args.checkpoint}: a {model.cfg.kind} checkpoint has no "
                        f"{args.task!r} task")

@@ -79,8 +79,9 @@ def check_fits_memory(cfg: ModelConfig, vocab_size: int, training: bool) -> None
     bytes than the machine's physical memory (a ConfigError naming both sizes).
 
     Training holds four copies of the trainable parameters (values, gradients,
-    Adam's m and v) and one of the frozen V x d_w table. Loading a checkpoint
-    holds two of each: the arrays read from the file and the model's own.
+    Adam's m and v) and one of the frozen V x d_w table. Gradients exist only
+    between backward and Adam, so loading a checkpoint holds two of each: the
+    arrays read from the file and the model's own.
     """
     params, frozen = expected_param_count(cfg, vocab_size), vocab_size * cfg.d_w
     need = 8 * (4 * params + frozen if training else 2 * (params + frozen))

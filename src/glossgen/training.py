@@ -54,8 +54,9 @@ def _fit(params, t, items, epochs: int, score, where, log_path,
     ``lm_loss``); its ``ForwardOutput.loss`` is built on the active tape, and
     ``where(epoch, step, batch)`` names the step in error messages. A
     non-finite loss or gradient norm aborts before Adam touches a parameter.
-    Gradients are zeroed once here; after that ``adam_step`` applies the clip
-    factor and zeroes each gradient in the same pass. Each step's log record
+    Gradients left from before the fit are dropped once here; after that
+    each backward pass makes them and ``adam_step``, which applies the clip
+    factor, drops them again. Each step's log record
     holds the pre-clip gradient norm and whether it was clipped.
     ``end_epoch(record)``, when given, adds fields to the epoch's record
     before it is logged and returns True to stop. Returns the epoch records.

@@ -200,6 +200,130 @@ class TestBackward:
                 backward(other, loss)
 
 
+def backward_keeping_output_grads(tape, loss):
+    """``backward``, then check that no node's output gradient changed after
+    its own backward rule read it: a later contribution that lands in an
+    array the rule handed on uncopied would show here."""
+    seen = []
+    for node in tape.nodes:
+        def rule(g, _run=node.backward_fn, _node=node):
+            seen.append((_node, g.copy()))
+            _run(g)
+        node.backward_fn = rule
+    backward(tape, loss)
+    for node, g in seen:
+        assert np.array_equal(node.output.grad, g), node.op
+
+
+class TestGradientContract:
+    """``grad`` is None until the first contribution, which becomes the
+    gradient without a zero buffer; Adam drops it again."""
+
+    def test_new_tensors_hold_no_gradient(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape():
+            y = ad.tanh(x)
+        assert x.grad is None and y.grad is None
+
+    @pytest.mark.parametrize("use_twice, expected", [
+        (lambda x: ad.add(x, x), lambda x, w: 2.0 * w),
+        (lambda x: ad.concat([x, x], axis=1), lambda x, w: w[:, :3] + w[:, 3:]),
+        (lambda x: ad.mul(x, x), lambda x, w: 2.0 * x * w),
+    ], ids=["add", "concat", "mul"])
+    def test_tensor_used_twice(self, use_twice, expected):
+        # x is read again earlier on the tape, so its later contributions land
+        # after the twice-use rule has stored its first one
+        rng = np.random.default_rng(30)
+        x = rand_param(rng, (2, 3))
+        w = rng.normal(size=use_twice(Tensor(np.ones((2, 3)))).shape)
+        v = rng.normal(size=(2, 3))
+        with Tape() as tape:
+            early = ad.mul(x, Tensor(v))
+            twice = use_twice(x)
+            loss = ad.add(sum_all(ad.mul(twice, Tensor(w))), sum_all(early))
+            backward_keeping_output_grads(tape, loss)
+        assert np.allclose(x.grad, expected(x.data, w) + v, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("op", ["add", "concat", "scale", "slice"])
+    def test_intermediate_used_twice_keeps_output_grads(self, op):
+        # h is read by the op first, then again by mul earlier on the tape
+        rng = np.random.default_rng(31)
+        x = rand_param(rng, (3, 4))
+        use = {"add": lambda h: ad.add(h, h), "concat": lambda h: ad.concat([h], axis=0),
+               "scale": lambda h: ad.scale(h, 1.0),
+               "slice": lambda h: ad.slice_axis(h, 0, 0, 3)}[op]
+
+        def f(x):
+            h = ad.tanh(x)
+            return ad.add(sum_all(ad.mul(h, h)), sum_all(use(h)))
+
+        with Tape() as tape:
+            backward_keeping_output_grads(tape, f(x))
+        assert grad_check(f, [x]) < 1e-6
+
+    def test_transposed_operands_get_contiguous_gradients(self):
+        rng = np.random.default_rng(32)
+        a = rand_param(rng, (4, 3))
+        b = rand_param(rng, (2, 4))
+        with Tape() as tape:
+            backward(tape, sum_all(ad.matmul(a, b, transpose_a=True, transpose_b=True)))
+        assert a.grad.flags.c_contiguous and b.grad.flags.c_contiguous
+        assert np.allclose(a.grad, np.outer(b.data.sum(axis=0), np.ones(3)))
+        adam_step({"a": a, "b": b}, AdamState())
+        assert a.grad is None and b.grad is None
+
+    def test_branch_without_gradient_is_skipped(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        z = Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            dead = ad.tanh(ad.mul(z, x))
+            loss = sum_all(ad.mul(x, x))
+        dead_nodes = [n for n in tape.nodes if n.output is dead or n.inputs[0] is z]
+        for node in dead_nodes:
+            node.backward_fn = None  # calling it would raise TypeError
+        backward(tape, loss)
+        assert dead.grad is None and z.grad is None
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_adam_reads_missing_gradient_as_zeros(self, monkeypatch, cpus):
+        # a missing gradient after a real one: m and v decay, the parameter
+        # still moves, and every bit matches an explicit zero gradient
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rng = np.random.default_rng(33)
+        shapes = {"big": (2 * ad.ADAM_CHUNK + 9,), "small": (3, 5)}
+        first = {n: rng.normal(size=s) for n, s in shapes.items()}
+        init = {n: rng.normal(size=s) for n, s in shapes.items()}
+        runs = []
+        for missing in (True, False):
+            params = {n: Tensor(init[n], requires_grad=True) for n in shapes}
+            state = AdamState(lr=0.01)
+            for n, p in params.items():
+                p.grad = first[n].copy()
+            adam_step(params, state, 0.5)
+            for n, p in params.items():
+                p.grad = None if missing else np.zeros(shapes[n])
+            adam_step(params, state, 0.5)
+            assert all(p.grad is None for p in params.values())
+            runs.append({n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+                         for n, p in params.items()})
+        assert runs[0] == runs[1]
+        assert runs[0]["big"][0] != Tensor(init["big"]).data.tobytes()
+
+    def test_zero_grads_drops_every_gradient(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            backward(tape, sum_all(ad.mul(x, x)))
+        ad.zero_grads({"x": x})
+        assert x.grad is None
+
+    def test_grad_check_ignores_stale_gradients(self):
+        rng = np.random.default_rng(34)
+        x = rand_param(rng, (3,))
+        x.grad = np.full(3, 1e6)
+        assert grad_check(lambda x: sum_all(ad.tanh(x)), [x]) < 1e-6
+
+
 class TestGradCheck:
     TOL = 1e-6
 
@@ -372,11 +496,12 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         # with zero eps the first bias-corrected step is exactly lr*sign(g)
         p = Tensor([1.0, -1.0, 2.0], requires_grad=True)
-        p.grad[...] = [0.3, -0.7, 0.0001]
+        p.grad = np.array([0.3, -0.7, 0.0001])
         state = AdamState(lr=0.1, eps=0.0)
         before = p.data.copy()
         adam_step({"p": p}, state)
         assert np.allclose(before - p.data, [0.1, -0.1, 0.1])
+        assert p.grad is None
 
     def test_zero_grad_is_fixed_point(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
@@ -386,7 +511,7 @@ class TestAdam:
 
     def test_lr_zero_changes_nothing(self):
         p = Tensor([1.0], requires_grad=True)
-        p.grad[...] = [5.0]
+        p.grad = np.array([5.0])
         state = AdamState(lr=0.0)
         adam_step({"p": p}, state)
         assert p.data[0] == 1.0
@@ -395,7 +520,6 @@ class TestAdam:
         p = Tensor([4.0], requires_grad=True)
         state = AdamState(lr=0.2)
         for _ in range(50):
-            p.zero_grad()
             with Tape() as tape:
                 backward(tape, sum_all(ad.mul(p, p)))
             adam_step({"p": p}, state)
@@ -426,14 +550,14 @@ class TestAdam:
         for t in range(1, 6):
             grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
             for n, p in params.items():
-                p.grad[...] = grads[n]
+                p.grad = grads[n]
             adam_step(params, state, grad_scale)
             reference_adam(data, grads, m, v, t, grad_scale)
             for n, p in params.items():
                 assert np.array_equal(p.data, data[n]), n
                 assert np.array_equal(state.m[n], m[n]), n
                 assert np.array_equal(state.v[n], v[n]), n
-                assert not p.grad.any(), n
+                assert p.grad is None, n
 
     def test_non_contiguous_parameter_rejected(self):
         # a flat view of it would be a copy, and the update would be lost
@@ -449,7 +573,7 @@ class TestAdam:
         monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         params = {f"p{i}": Tensor(np.ones(40_000), requires_grad=True) for i in range(4)}
         for p in params.values():
-            p.grad[...] = 1e200
+            p.grad = np.full(40_000, 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
@@ -459,8 +583,8 @@ class TestAdam:
     def test_clip_global_norm(self):
         a = Tensor([3.0], requires_grad=True)
         b = Tensor([4.0], requires_grad=True)
-        a.grad[...] = [3.0]
-        b.grad[...] = [4.0]
+        a.grad = np.array([3.0])
+        b.grad = np.array([4.0])
         pre = clip_global_norm({"a": a, "b": b}, 1.0)
         assert abs(pre - 5.0) < 1e-12
         post = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
@@ -479,7 +603,7 @@ class TestAdam:
             "    params = {}\n"
             "    for i, shape in enumerate([(1000, 300), (300,), (7, 3, 5)]):\n"
             "        params[i] = Tensor(np.zeros(shape), requires_grad=True)\n"
-            "        params[i].grad[...] = rng.normal(size=shape)\n"
+            "        params[i].grad = rng.normal(size=shape)\n"
             "    ref = np.sqrt(sum((t.grad * t.grad).sum() for t in params.values()))\n"
             "    print(global_grad_norm(params).hex(), float(ref).hex())\n")
         src = str(Path(glossgen.__file__).resolve().parents[1])
@@ -498,7 +622,7 @@ class TestAdam:
 
     def test_clip_below_threshold_untouched(self):
         a = Tensor([1.0], requires_grad=True)
-        a.grad[...] = [0.5]
+        a.grad = np.array([0.5])
         clip_global_norm({"a": a}, 5.0)
         assert a.grad[0] == 0.5
 

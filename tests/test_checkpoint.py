@@ -67,6 +67,15 @@ class TestRoundTrip:
         for name in orig:
             assert np.array_equal(orig[name], new[name]), name
 
+    def test_loaded_model_holds_no_gradients(self, tmp_path):
+        # a loaded model holds one copy of its parameters, as
+        # check_fits_memory counts, not a zeroed gradient beside each
+        path = tmp_path / "m.npz"
+        kw = {"kind": "hier-du", "char_on": True}
+        save_checkpoint(path, build(seed=3, **kw), full_cfg(**kw))
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.params() and all(p.grad is None for p in loaded.params().values())
+
     @pytest.mark.parametrize("contextual_on", [False, True])
     def test_forward_identical_after_reload(self, tmp_path, contextual_on):
         kw = dict(kind="hier-du", s0_variant="word", contextual_on=contextual_on)

@@ -387,6 +387,33 @@ class TestEvalAndGenerate:
         assert (out / "report.txt").read_text().splitlines()[:2] == [
             f"# config {eval_run['config_digest']}", f"# command {' '.join(argv)}"]
 
+    @pytest.mark.parametrize("command, overrides, named", [
+        (["eval"], ["model.temperature=5.0", "model.max_gen_len=2"],
+         ("model.temperature=5.0", "model.temperature = 0.05")),
+        (["eval"], ["model.kind=parallel", "model.d_w=999"],
+         ("model.kind=parallel", "model.kind = single")),
+        (["generate", "--word", "check", "--context", "check the oil"],
+         ["model.d_w=8", "model.max_gen_len=2"],
+         ("model.max_gen_len=2", "model.max_gen_len = 8")),
+    ])
+    def test_model_override_apart_from_checkpoint_refused(self, trained, capsys,
+                                                          command, overrides, named):
+        # the checkpoint fixes the model, so the override would change nothing
+        # while entering the command line and config digest of the run record
+        argv = command + ["--config", trained["cfg"], "--checkpoint", trained["checkpoint"]]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "internal error" not in err
+        assert all(part in err for part in named) and trained["checkpoint"] in err
+
+    def test_model_override_equal_to_checkpoint_accepted(self, trained, tmp_path, capsys):
+        given = ["--config", trained["cfg"], "--checkpoint", trained["checkpoint"],
+                 "--override", "model.d_w=8", "--override", "model.max_gen_len=8"]
+        assert main(["eval"] + given) == 0
+        assert main(["generate"] + given + ["--word", "check", "--context", "check it"]) == 0
+
     def test_eval_refuses_vocab_mismatch(self, trained, capsys):
         code = main(["eval", "--config", trained["cfg"],
                      "--checkpoint", trained["checkpoint"],

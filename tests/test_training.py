@@ -340,6 +340,25 @@ class TestOptimizerPass:
         assert steps and all(r["grad_norm"] == 0.0 and not r["clipped"] for r in steps)
         assert all(np.array_equal(t.data, before[n]) for n, t in model.params().items())
 
+    def test_gradients_exist_only_between_backward_and_adam(self, monkeypatch):
+        # check_fits_memory counts no gradient copy outside that window
+        model = build(seed=0, kind="hier-du")
+        params = model.params()
+        held = []
+        real = training.backward
+
+        def backward_then_look(tape, loss):
+            held.append(sorted(n for n, p in params.items() if p.grad is None))
+            real(tape, loss)
+            held.append(sorted(n for n, p in params.items() if p.grad is None))
+
+        monkeypatch.setattr(training, "backward", backward_then_look)
+        cfg = full_cfg(model_kw={"kind": "hier-du"}, batch_size=8)
+        training._fit(params, cfg.train, corpus(with_usage=True), 1, model.forward_batch,
+                      lambda epoch, step, batch: f"step {step}", None)
+        assert held == [sorted(params), []]
+        assert all(p.grad is None for p in params.values())
+
     def test_one_adam_step_per_batch_and_one_zeroing_per_fit(self, monkeypatch):
         # the benchmark ends a training step at each adam_step return
         calls = {"adam_step": 0, "zero_grads": 0}
