@@ -620,14 +620,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState,
                 s1 /= s2
                 p -= s1
 
-    workers = min(len(os.sched_getaffinity(0)), len(blocks))
-    if workers < 2:
-        update(blocks)
-    else:
-        # a pool per call: a module-level pool would reach a forked child
-        # with no threads behind it
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(update, [blocks[i::workers] for i in range(workers)]))
+    # a pool per call: a module-level pool would reach a forked child with no
+    # threads behind it; with no blocks, one worker runs an empty share
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(blocks)))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(update, [blocks[i::workers] for i in range(workers)]))
     for p in params.values():
         p.grad = None
 

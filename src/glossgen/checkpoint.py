@@ -19,7 +19,7 @@ from .config import Config, ConfigError, config_from_dict, config_to_dict, valid
 from .data import SPECIALS, Vocabulary
 from .embeddings import CHARS
 from .metrics import json_text
-from .models import DefinitionModel, assign_arrays, check_fits_memory
+from .models import DefinitionModel, assign_arrays, check_fits_memory, gated_input_dim
 
 FORMAT_VERSION = 1
 META_KEY = "__meta__"
@@ -160,7 +160,7 @@ def save_pretrained(path, model, extra_meta: dict | None = None) -> None:
         "kind": WARM_START,
         "vocab_fingerprint": model.vocab.fingerprint(),
         "d_s": model.cfg.d_s,
-        "input_dim": model.def_stack.input_dim,
+        "input_dim": gated_input_dim(model.cfg),
     }
     meta.update(extra_meta or {})
     _write(path, meta, {name: t.data for name, t in model.pretrainable_params().items()})

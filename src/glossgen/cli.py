@@ -60,10 +60,9 @@ def asset_path(name: str) -> str:
 
 
 def resolve_data_path(value: str, bundled: str | None = None) -> str:
-    """Empty -> bundled asset; relative paths fall back to $GLOSSGEN_DATA_DIR."""
+    """Empty -> bundled asset; relative paths fall back to $GLOSSGEN_DATA_DIR.
+    A file without a bundled default is resolved only when it is set."""
     if not value:
-        if bundled is None:
-            raise CliError("no path configured and no bundled default exists")
         return asset_path(bundled)
     if os.path.isabs(value) or os.path.exists(value):
         return value
@@ -152,15 +151,17 @@ def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
 
 
 def _check_model_overrides(args, cfg: Config, stored: Config) -> None:
-    """The checkpoint fixes the model ``eval`` and ``generate`` run, so an
-    ``--override model.<key>`` that differs from its stored value would
-    change nothing yet enter the run record: a CliError naming both values."""
+    """The checkpoint fixes the model ``eval`` and ``generate`` run and the
+    size of its vocabulary, so an ``--override`` of a ``model.<key>`` or of
+    ``data.vocab_size`` that differs from its stored value would change
+    nothing yet enter the run record: a CliError naming both values."""
     for item in args.override:
         key = item.split("=", 1)[0].strip()
         section, _, name = key.partition(".")
-        if section != "model":
+        if section != "model" and key != "data.vocab_size":
             continue
-        given, fixed = getattr(cfg.model, name), getattr(stored.model, name)
+        given = getattr(getattr(cfg, section), name)
+        fixed = getattr(getattr(stored, section), name)
         if given != fixed:
             raise CliError(f"{args.checkpoint}: --override {key}={given} differs from "
                            f"the checkpoint's {key} = {fixed}, which fixes the model")
@@ -302,7 +303,7 @@ def cmd_eval(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     model, stored, meta = load_checkpoint(args.checkpoint, _contextual_file(cfg))
     _check_model_overrides(args, cfg, stored)
-    vocab = model_vocab(entries, cfg.data.vocab_size)
+    vocab = model_vocab(entries, stored.data.vocab_size)
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CliError(
             f"{args.checkpoint}: checkpoint vocabulary does not match this corpus "

@@ -121,7 +121,6 @@ class DecoderStack:
     def __init__(self, rng: np.random.Generator, input_dim: int, d_s: int,
                  vocab_size: int, n_layers: int, gate_on: bool, prefix: str):
         self.gate = GatedInputBuilder(rng, input_dim, gate_on, f"{prefix}.gate")
-        self.input_dim = input_dim
         self.d_s = d_s
         self.n_layers = n_layers
         self.prefix = prefix

@@ -38,13 +38,13 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
-def _read_vectors(path, dim: int | None = None) -> dict[str, np.ndarray]:
+def _read_vectors(path, dim: int) -> dict[str, np.ndarray]:
     """Records of a "key v1 .. vd" text file, by key (a later record wins).
 
-    Every record holds the same number of finite values: ``dim`` when given,
-    else as many as the first record. A first line of two whole numbers is a
-    "count dim" header and is skipped, unless records are one value wide.
-    Raises EmbeddingError naming ``path:line`` for a bad record.
+    Every record holds ``dim`` finite values, the width the caller's model
+    reads. A first line of two whole numbers is a "count dim" header and is
+    skipped, unless records are one value wide. Raises EmbeddingError naming
+    ``path:line`` for a bad record.
     """
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
@@ -54,10 +54,9 @@ def _read_vectors(path, dim: int | None = None) -> dict[str, np.ndarray]:
                              and all(p.isdecimal() for p in parts)):
                 continue
             values = parts[1:]
-            dim = len(values) if dim is None else dim
-            if not values or len(values) != dim:
+            if len(values) != dim:
                 raise EmbeddingError(
-                    f"{path}:{line_no}: expected {dim or 'some'} values, got {len(values)}")
+                    f"{path}:{line_no}: expected {dim} values, got {len(values)}")
             try:
                 vector = np.array([float(v) for v in values])
             except ValueError:
@@ -70,8 +69,9 @@ def _read_vectors(path, dim: int | None = None) -> dict[str, np.ndarray]:
     return vectors
 
 
-def load_word_embeddings(path, vocab, seed: int, dim: int | None = None):
-    """Read a vector file into a (V, d) matrix aligned with ``vocab``.
+def load_word_embeddings(path, vocab, seed: int, dim: int):
+    """Read a vector file of ``dim``-wide records into a (V, dim) matrix
+    aligned with ``vocab``.
 
     Tokens absent from the file (and the three non-pad specials) get rows
     drawn uniform(-0.1, 0.1) from ``seed``; the pad row is zero. Returns
@@ -79,9 +79,8 @@ def load_word_embeddings(path, vocab, seed: int, dim: int | None = None):
     vocabulary tokens.
     """
     vectors = _read_vectors(path, dim)
-    file_dim = len(next(iter(vectors.values())))
     rng = np.random.default_rng(seed)
-    matrix = np.zeros((len(vocab), file_dim))
+    matrix = np.zeros((len(vocab), dim))
     found = 0
     for i, token in enumerate(vocab.id_to_token):
         if token in vectors:
@@ -89,7 +88,7 @@ def load_word_embeddings(path, vocab, seed: int, dim: int | None = None):
             if i >= len(SPECIALS):
                 found += 1
         elif i != vocab.pad_id:
-            matrix[i] = rng.uniform(-0.1, 0.1, size=file_dim)
+            matrix[i] = rng.uniform(-0.1, 0.1, size=dim)
     n_real = len(vocab) - len(SPECIALS)
     coverage = found / n_real if n_real else 1.0
     return matrix, coverage

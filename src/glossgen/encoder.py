@@ -100,11 +100,10 @@ class ContextEncoder:
     def __init__(self, rng: np.random.Generator, matrix: np.ndarray, d_h: int,
                  max_len: int = 64):
         self.table = Tensor(matrix, requires_grad=True)  # (V, d_w)
-        self.d_w = matrix.shape[1]
-        self.d_h = d_h
+        d_w = matrix.shape[1]
         self.max_len = max_len
-        self.fwd = GruCell(rng, self.d_w, d_h, "enc.fwd")
-        self.bwd = GruCell(rng, self.d_w, d_h, "enc.bwd")
+        self.fwd = GruCell(rng, d_w, d_h, "enc.fwd")
+        self.bwd = GruCell(rng, d_w, d_h, "enc.bwd")
 
     def params(self) -> dict[str, Tensor]:
         out = {"enc.table": self.table}

@@ -137,13 +137,13 @@ def _entry_seed(run_seed: int, entry_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def evaluate(model, labeled_entries, temperature: float | None = None, seed: int = 0,
-             max_len: int | None = None) -> EvalReport:
+def evaluate(model, labeled_entries, seed: int = 0, max_len: int | None = None) -> EvalReport:
     """Generate one hypothesis per entry and score against the gold definition.
 
     ``labeled_entries`` is the data module's Seen/Unseen labeling of the test
-    set. Per-entry generation seeds derive from (seed, entry id), so the
-    report is independent of entry order.
+    set. Every hypothesis is sampled at the model's own ``cfg.temperature``.
+    Per-entry generation seeds derive from (seed, entry id), so the report is
+    independent of entry order.
     """
     labeled_entries = list(labeled_entries)
     if not labeled_entries:
@@ -155,14 +155,14 @@ def evaluate(model, labeled_entries, temperature: float | None = None, seed: int
     empty = inclusion_hits = 0
     multi = "usage" in model.tasks
     for e, label in labeled_entries:
-        tokens, _ = model.generate(e, task="definition", temperature=temperature,
+        tokens, _ = model.generate(e, task="definition",
                                    seed=_entry_seed(seed, e.entry_id), max_len=max_len)
         if not tokens:
             empty += 1
         buckets[label].append((sentence_bleu(tokens, e.definition),
                                rouge_l(tokens, e.definition)))
         if multi:
-            usage, _ = model.generate(e, task="usage", temperature=temperature,
+            usage, _ = model.generate(e, task="usage",
                                       seed=_entry_seed(seed, e.entry_id + "#usage"),
                                       max_len=max_len)
             if find_target_occurrence(usage, e.word) is not None:

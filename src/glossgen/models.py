@@ -20,7 +20,7 @@ from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits
 from .config import KINDS, ConfigError, ModelConfig
 from .data import SPECIALS, Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, InitStateProjector, sample_sequence
-from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot, load_contextual_file
+from .embeddings import CHAR_EMB_DIM, CHAR_FEATURE_DIM, CHARS, CONV_COUNTS, CONV_WIDTHS, HIGHWAY_LAYERS, CharEncoder, ContextualProvider, glorot, load_contextual_file
 from .encoder import ContextEncoder, SenseAttention
 
 
@@ -38,7 +38,7 @@ def gated_input_dim(cfg: ModelConfig) -> int:
     return cfg.d_w + sum(feature_widths(cfg))
 
 
-def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -> int:
+def expected_param_count(cfg: ModelConfig, vocab_size: int) -> int:
     """Closed-form trainable parameter count; must match the built model.
 
     Shared stack: encoder table V*d_w, two encoder GRUs, four attention
@@ -54,7 +54,7 @@ def expected_param_count(cfg: ModelConfig, vocab_size: int, n_chars: int = 28) -
     total += 2 * _gru_param_count(d_w, d_h)
     total += d_w * d + 2 * (2 * d_h * d) + d * d_w
     if cfg.char_on:
-        char = n_chars * CHAR_EMB_DIM
+        char = len(CHARS) * CHAR_EMB_DIM
         char += sum(w * CHAR_EMB_DIM * n for w, n in zip(CONV_WIDTHS, CONV_COUNTS))
         char += CHAR_FEATURE_DIM
         char += HIGHWAY_LAYERS * 2 * (CHAR_FEATURE_DIM ** 2 + CHAR_FEATURE_DIM)

@@ -42,6 +42,19 @@ def reference_adam(data, grads, m, v, t, grad_scale, lr=1e-3, b1=0.9, b2=0.999,
             np.sqrt(v[name] / (1.0 - b2 ** t)) + eps)
 
 
+def record_pools(monkeypatch):
+    """The worker count of every thread pool ``adam_step`` opens, in order."""
+    pools = []
+
+    class Recording(ad.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", Recording)
+    return pools
+
+
 class TestForward:
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
@@ -538,8 +551,10 @@ class TestAdam:
     def test_chunked_step_matches_whole_array_reference(self, monkeypatch, cpus,
                                                         grad_scale):
         # 3 full blocks plus a 5-element tail, and a parameter smaller than a
-        # block; 3 CPUs deal 5 blocks unevenly, 1 CPU runs them inline
+        # block; 3 CPUs deal 5 blocks unevenly, 1 CPU runs them all on one
+        # pool worker
         monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pools = record_pools(monkeypatch)
         rng = np.random.default_rng(7)
         params = {"big": rand_param(rng, (3 * ad.ADAM_CHUNK + 5,)),
                   "small": rand_param(rng, (3,))}
@@ -558,6 +573,13 @@ class TestAdam:
                 assert np.array_equal(state.m[n], m[n]), n
                 assert np.array_equal(state.v[n], v[n]), n
                 assert p.grad is None, n
+        assert pools == [cpus] * 5
+
+    def test_no_parameters_advances_step(self):
+        # no blocks to deal, yet the step counts
+        state = AdamState()
+        adam_step({}, state)
+        assert state.t == 1
 
     def test_non_contiguous_parameter_rejected(self):
         # a flat view of it would be a copy, and the update would be lost
@@ -568,8 +590,8 @@ class TestAdam:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_blocks_run_under_callers_errstate(self, monkeypatch, cpus):
         # numpy's error state is per thread, and squaring these gradients
-        # overflows: under the caller's "ignore", no block may warn, whether
-        # it runs inline (1 CPU) or on a worker thread (2 CPUs)
+        # overflows: under the caller's "ignore", no block may warn on any
+        # worker thread, one (1 CPU) or two (2 CPUs)
         monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         params = {f"p{i}": Tensor(np.ones(40_000), requires_grad=True) for i in range(4)}
         for p in params.values():

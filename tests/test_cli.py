@@ -395,6 +395,8 @@ class TestEvalAndGenerate:
         (["generate", "--word", "check", "--context", "check the oil"],
          ["model.d_w=8", "model.max_gen_len=2"],
          ("model.max_gen_len=2", "model.max_gen_len = 8")),
+        (["eval"], ["data.vocab_size=50"],
+         ("data.vocab_size=50", "data.vocab_size = 65000")),
     ])
     def test_model_override_apart_from_checkpoint_refused(self, trained, capsys,
                                                           command, overrides, named):
@@ -414,12 +416,34 @@ class TestEvalAndGenerate:
         assert main(["eval"] + given) == 0
         assert main(["generate"] + given + ["--word", "check", "--context", "check it"]) == 0
 
-    def test_eval_refuses_vocab_mismatch(self, trained, capsys):
+    def test_eval_refuses_vocab_mismatch(self, trained, tmp_path, capsys):
+        # the bundled corpus with one definition token changed
+        lines = open(resolve_data_path("", "mini_corpus.jsonl"), encoding="utf-8").readlines()
+        first = json.loads(lines[0])
+        first["definition"] += " zebra"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join([json.dumps(first) + "\n"] + lines[1:]), encoding="utf-8")
         code = main(["eval", "--config", trained["cfg"],
                      "--checkpoint", trained["checkpoint"],
-                     "--override", "data.vocab_size=50"])
+                     "--override", f"data.corpus={corpus}"])
         assert code == 1
         assert "does not match" in capsys.readouterr().err
+
+    def test_eval_builds_vocabulary_at_checkpoint_size(self, cfg_path, tmp_path, capsys):
+        # trained at a vocabulary size the command does not repeat
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg_path, "--out-dir", str(run),
+                     "--override", "data.vocab_size=200",
+                     "--override", "train.max_epochs=1"]) == 0
+        assert main(["eval", "--checkpoint", str(run / "model.npz")]) == 0
+        assert main(["eval", "--checkpoint", str(run / "model.npz"),
+                     "--override", "data.vocab_size=200"]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--checkpoint", str(run / "model.npz"),
+                     "--word", "check", "--context", "check it",
+                     "--override", "data.vocab_size=300"]) == 1
+        err = capsys.readouterr().err
+        assert "data.vocab_size=300" in err and "data.vocab_size = 200" in err
 
     def test_generate_one_line_per_context(self, trained, capsys):
         assert main(["generate", "--config", trained["cfg"],

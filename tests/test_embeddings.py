@@ -25,42 +25,42 @@ class TestWordEmbeddings:
     def test_direct_load_full_coverage(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0]), ("dog", [0, 1]),
                                                   ("bird", [1, 1])])
-        matrix, coverage = E.load_word_embeddings(path, small_vocab(), seed=0)
+        matrix, coverage = E.load_word_embeddings(path, small_vocab(), seed=0, dim=2)
         assert coverage == 1.0
         assert np.array_equal(matrix[4], [1, 0])
         assert np.array_equal(matrix[5], [0, 1])
 
     def test_missing_token_sampled(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0])])
-        matrix, coverage = E.load_word_embeddings(path, small_vocab(), seed=0)
+        matrix, coverage = E.load_word_embeddings(path, small_vocab(), seed=0, dim=2)
         assert coverage == pytest.approx(1 / 3)
         row = matrix[5]
         assert np.all(np.abs(row) <= 0.1) and np.any(row != 0)
 
     def test_pad_row_zero(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0])])
-        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
+        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0, dim=2)
         assert np.all(matrix[0] == 0)
 
     def test_header_tolerated(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0])], header="1 2")
-        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
+        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0, dim=2)
         assert matrix.shape == (7, 2)
 
     def test_wrong_arity_names_line(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1, 0]), ("dog", [1, 2, 3])])
         with pytest.raises(E.EmbeddingError, match=":2:"):
-            E.load_word_embeddings(path, small_vocab(), seed=0)
+            E.load_word_embeddings(path, small_vocab(), seed=0, dim=2)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("")
         with pytest.raises(E.EmbeddingError, match="empty"):
-            E.load_word_embeddings(path, small_vocab(), seed=0)
+            E.load_word_embeddings(path, small_vocab(), seed=0, dim=2)
 
     def test_frozen_table_untouched_by_adam(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", [("cat", [1.0, 0.5])])
-        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0)
+        matrix, _ = E.load_word_embeddings(path, small_vocab(), seed=0, dim=2)
         emb = DecoderEmbedding(matrix, np.random.default_rng(0))
         before = emb.frozen.data.copy()
         # the frozen table is not a parameter, so updates cannot move it
@@ -257,6 +257,7 @@ class TestVectorFiles:
         ("cat 0.1 0.2\nquery-0 nan 0.4\n", ":2: values must be finite"),
         ("cat inf 0.2\n", ":1: values must be finite"),
         ("cat 0.1 0.2 0.3\n", ":1: expected 2 values, got 3"),
+        ("cat 0.1\ndog 0.1 0.2\n", ":1: expected 2 values, got 1"),
         ("\n  \n", "no records"),
         ("3 2\n", "no records"),
     ])

@@ -202,11 +202,10 @@ class FakeEchoModel:
         for e in entries:
             self._gold[e.entry_id] = list(e.definition)
 
-    def generate(self, e, task="definition", temperature=None, seed=0, max_len=None):
+    def generate(self, e, task="definition", seed=0, max_len=None):
         if self.echo and task == "definition":
             return list(self._gold[e.entry_id]), {}
-        return self.inner.generate(e, task=task, temperature=temperature or 0.5,
-                                   seed=seed, max_len=max_len)
+        return self.inner.generate(e, task=task, temperature=0.5, seed=seed, max_len=max_len)
 
     def forward_batch(self, entries, tasks=None):
         return self.inner.forward_batch(entries, tasks)
@@ -230,8 +229,8 @@ class TestEvaluate:
 
     def test_partition_arithmetic(self):
         labeled = self.labeled()
-        model = micro_model()
-        report = M.evaluate(model, labeled, temperature=0.5, seed=3)
+        model = micro_model(temperature=0.5)
+        report = M.evaluate(model, labeled, seed=3)
         assert report.seen.entries + report.unseen.entries == report.entries
         weighted = (report.seen.entries * report.seen.bleu
                     + report.unseen.entries * report.unseen.bleu) / report.entries
@@ -239,16 +238,16 @@ class TestEvaluate:
 
     def test_deterministic_given_seed(self):
         labeled = self.labeled()
-        model = micro_model()
-        r1 = M.evaluate(model, labeled, temperature=0.7, seed=9)
-        r2 = M.evaluate(model, labeled, temperature=0.7, seed=9)
+        model = micro_model(temperature=0.7)
+        r1 = M.evaluate(model, labeled, seed=9)
+        r2 = M.evaluate(model, labeled, seed=9)
         assert M.report_lines(r1) == M.report_lines(r2)
 
     def test_order_independent(self):
         labeled = self.labeled()
-        model = micro_model()
-        r1 = M.evaluate(model, labeled, temperature=0.7, seed=9)
-        r2 = M.evaluate(model, list(reversed(labeled)), temperature=0.7, seed=9)
+        model = micro_model(temperature=0.7)
+        r1 = M.evaluate(model, labeled, seed=9)
+        r2 = M.evaluate(model, list(reversed(labeled)), seed=9)
         assert r1.bleu == pytest.approx(r2.bleu)
 
     def test_missing_partition_rejected(self):
@@ -258,26 +257,26 @@ class TestEvaluate:
 
     def test_usage_inclusion_reported_for_multi(self):
         labeled = self.labeled()
-        model = micro_model(kind="parallel")
-        report = M.evaluate(model, labeled, temperature=0.5, seed=1)
+        model = micro_model(kind="parallel", temperature=0.5)
+        report = M.evaluate(model, labeled, seed=1)
         assert report.usage_inclusion is not None
         assert 0.0 <= report.usage_inclusion <= 1.0
 
     @pytest.mark.parametrize("kind", ["hier-du", "hier-ud"])
     def test_entry_without_usage_scores_the_same(self, kind):
-        model = micro_model(kind=kind)
+        model = micro_model(kind=kind, temperature=0.5)
         labeled = self.labeled()
-        with_usage = M.evaluate(model, labeled, temperature=0.5, seed=1)
+        with_usage = M.evaluate(model, labeled, seed=1)
         labeled[1][0].usage = None
-        without = M.evaluate(model, labeled, temperature=0.5, seed=1)
+        without = M.evaluate(model, labeled, seed=1)
         assert M.report_lines(without) == M.report_lines(with_usage)
 
     def test_single_has_no_inclusion_rate(self):
-        report = M.evaluate(micro_model(), self.labeled(), temperature=0.5, seed=1)
+        report = M.evaluate(micro_model(temperature=0.5), self.labeled(), seed=1)
         assert report.usage_inclusion is None
 
     def test_report_renders(self):
-        report = M.evaluate(micro_model(), self.labeled(), temperature=0.5, seed=1)
+        report = M.evaluate(micro_model(temperature=0.5), self.labeled(), seed=1)
         table = M.format_report(report)
         assert "perplexity" in table and "full" in table
         lines = M.report_lines(report)
