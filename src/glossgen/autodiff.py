@@ -89,7 +89,6 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self._member_ids = set()
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -100,19 +99,8 @@ class Tape:
         assert popped is self
         return False
 
-    def _record(self, node):
-        self.nodes.append(node)
-        self._member_ids.add(id(node.output))
-
-    def owns(self, tensor):
-        return id(tensor) in self._member_ids
-
 
 _TAPE_STACK: list[Tape] = []
-
-
-def active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 def _accumulate(t: Tensor, contribution, shared: bool = False) -> None:
@@ -140,10 +128,9 @@ def _finish(op, inputs, out_array, backward_fn):
     if not np.all(np.isfinite(out_array)):
         raise NumericalError(f"{op}: non-finite values in output")
     out = Tensor._wrap(out_array)
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape._record(Node(op, inputs, out, backward_fn))
+        _TAPE_STACK[-1].nodes.append(Node(op, inputs, out, backward_fn))
     return out
 
 
@@ -345,7 +332,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ShapeError(
             f"embedding-lookup: id out of range for table with {table.data.shape[0]} rows")
-    out = table.data[ids].copy()
+    out = table.data[ids]
 
     def backward(g):
         if table.requires_grad:
@@ -484,7 +471,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if not tape.owns(loss):
+    if not any(node.output is loss for node in reversed(tape.nodes)):
         raise AutodiffError("backward: loss was not produced on this tape")
     loss.grad = np.ones(loss.data.shape)
     for node in reversed(tape.nodes):

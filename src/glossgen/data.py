@@ -30,6 +30,13 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
+def stable_seed(*parts) -> int:
+    """A 64-bit seed from the sha256 of the "|"-joined parts: the same on every
+    run and platform, unlike ``hash``."""
+    digest = hashlib.sha256("|".join(map(str, parts)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def find_target_occurrence(tokens: list[str], word: str) -> int | None:
     """Leftmost index of ``word`` in ``tokens``, allowing inflected forms.
 

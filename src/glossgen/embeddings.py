@@ -8,12 +8,10 @@ vector is always a constant feature.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .autodiff import Tensor, add, concat, conv1d, embedding_lookup, matmul, max_over_axis, mul, one_minus, sigmoid, slice_axis, tanh
-from .data import SPECIALS
+from .data import SPECIALS, stable_seed
 
 CHAR_EMB_DIM = 20
 CONV_WIDTHS = (2, 3, 4, 5, 6)
@@ -124,23 +122,20 @@ class CharEncoder:
     def encode(self, words) -> Tensor:
         """Features of a batch of words, a (len(words), 160) matrix.
 
-        Each distinct word is encoded once (Kim et al. 2016): every word is
-        padded with the boundary char to the longest, and to at least the
-        widest filter, and all of them run through each convolution as one
-        sequence, word after word. A word's max-over-time reads only the
-        windows within its first max(len, 6) chars, the padding it would get
-        alone, so its features do not depend on the rest of the batch. The
-        highway layers run once over the distinct words; one lookup then
-        gives each word its row.
+        Each word is one row (Kim et al. 2016): every word is padded with the
+        boundary char to the longest, and to at least the widest filter, and
+        all of them run through each convolution as one sequence, word after
+        word. A word's max-over-time reads only the windows within its first
+        max(len, 6) chars, the padding it would get alone, so its features do
+        not depend on the rest of the batch.
         """
         words = list(words)
         if not words or not all(words):
             raise EmbeddingError("char encoder: empty word")
-        distinct = list(dict.fromkeys(words))
-        spans = [max(len(w), max(CONV_WIDTHS)) for w in distinct]
+        spans = [max(len(w), max(CONV_WIDTHS)) for w in words]
         width = max(spans)
-        ids = np.full((len(distinct), width), BOUNDARY_CHAR_ID, dtype=np.intp)
-        for i, w in enumerate(distinct):
+        ids = np.full((len(words), width), BOUNDARY_CHAR_ID, dtype=np.intp)
+        for i, w in enumerate(words):
             ids[i, :len(w)] = [CHAR_IDS.get(c, UNK_CHAR_ID) for c in w]
         p = self._params
         emb = embedding_lookup(p["char.table"], ids.reshape(-1))  # (words*width, 20)
@@ -157,8 +152,7 @@ class CharEncoder:
             t = sigmoid(add(matmul(x, p[f"char.hw{layer}.W_T"]), p[f"char.hw{layer}.b_T"]))
             g = tanh(add(matmul(x, p[f"char.hw{layer}.W_H"]), p[f"char.hw{layer}.b_H"]))
             x = add(mul(t, g), mul(one_minus(t), x))
-        row = {w: i for i, w in enumerate(distinct)}
-        return embedding_lookup(x, [row[w] for w in words])
+        return x
 
 
 class ContextualProvider:
@@ -194,9 +188,7 @@ class ContextualProvider:
             target = context[idx]
             prev = context[idx - 1] if idx > 0 else ""
             nxt = context[idx + 1] if idx + 1 < len(context) else ""
-        key = f"{self.seed}|{target}|{prev}|{nxt}".encode("utf-8")
-        digest = hashlib.sha256(key).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        rng = np.random.default_rng(stable_seed(self.seed, target, prev, nxt))
         v = rng.normal(size=self.dim)
         return v / np.linalg.norm(v)
 

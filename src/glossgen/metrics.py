@@ -10,14 +10,13 @@ of that scorer's documented rules, not a byte-exact port.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import find_target_occurrence
+from .data import find_target_occurrence, stable_seed
 
 
 class MetricsError(Exception):
@@ -132,11 +131,6 @@ class EvalReport(PartitionScores):
         return [("full", self), ("seen", self.seen), ("unseen", self.unseen)]
 
 
-def _entry_seed(run_seed: int, entry_id: str) -> int:
-    digest = hashlib.sha256(f"{run_seed}|{entry_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 def evaluate(model, labeled_entries, seed: int = 0, max_len: int | None = None) -> EvalReport:
     """Generate one hypothesis per entry and score against the gold definition.
 
@@ -156,14 +150,14 @@ def evaluate(model, labeled_entries, seed: int = 0, max_len: int | None = None) 
     multi = "usage" in model.tasks
     for e, label in labeled_entries:
         tokens, _ = model.generate(e, task="definition",
-                                   seed=_entry_seed(seed, e.entry_id), max_len=max_len)
+                                   seed=stable_seed(seed, e.entry_id), max_len=max_len)
         if not tokens:
             empty += 1
         buckets[label].append((sentence_bleu(tokens, e.definition),
                                rouge_l(tokens, e.definition)))
         if multi:
             usage, _ = model.generate(e, task="usage",
-                                      seed=_entry_seed(seed, e.entry_id + "#usage"),
+                                      seed=stable_seed(seed, e.entry_id + "#usage"),
                                       max_len=max_len)
             if find_target_occurrence(usage, e.word) is not None:
                 inclusion_hits += 1

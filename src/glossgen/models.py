@@ -143,8 +143,7 @@ class DefinitionModel:
                 raise ShapeError(
                     f"pretrained matrix {pretrained_matrix.shape} does not fit vocab "
                     f"{v} x d_w {cfg.d_w}")
-            frozen = np.array(pretrained_matrix, dtype=float)
-            enc_matrix = frozen.copy()
+            frozen = enc_matrix = pretrained_matrix  # each table copies it
         else:
             frozen = kids[0].uniform(-0.1, 0.1, size=(v, cfg.d_w))
             frozen[vocab.pad_id] = 0.0
@@ -204,9 +203,9 @@ class DefinitionModel:
 
         One pass serves the whole batch: the encoder runs every entry's first
         context as one padded batch, the attention reads each entry's own
-        block of context states, and the char CNN encodes each distinct
-        headword once. The headword rows v* and e* come from constant tables
-        and record no node."""
+        block of context states, and the char CNN encodes every headword,
+        one row per entry. The headword rows v* and e* come from constant
+        tables and record no node."""
         for e in entries:
             if not e.contexts:
                 raise ShapeError(f"entry {e.entry_id}: no context sentence")

@@ -212,6 +212,15 @@ class TestBackward:
             with pytest.raises(AutodiffError):
                 backward(other, loss)
 
+    def test_loss_need_not_be_last_node(self):
+        x = Tensor([3.0], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(ad.mul(x, x))
+            ad.tanh(x)
+            assert tape.nodes[-1].output is not loss
+            backward(tape, loss)
+        assert np.array_equal(x.grad, [6.0])
+
 
 def backward_keeping_output_grads(tape, loss):
     """``backward``, then check that no node's output gradient changed after

@@ -177,6 +177,17 @@ class TestVocabulary:
         assert v.decode(ids) == ["cat", "<unk>", "sat"]
 
 
+class TestStableSeed:
+    # Every sampled token of `evaluate` and every deterministic contextual
+    # vector follows from these values, so they must not drift.
+    def test_pinned_values(self):
+        assert D.stable_seed(0, "mini-001") == 15675695350899264315
+        assert D.stable_seed(7, "query-0#usage") == 6599080058863597878
+        assert D.stable_seed(123, "é") == 12206518619071985475
+        assert D.stable_seed(0, "check", "the", "is") == 17915997345362770075
+        assert D.stable_seed(3, "naïve", "", "") == 10655668103367429859
+
+
 class TestModelVocab:
     @pytest.mark.parametrize("stopwords, size, fingerprint", [
         (None, 341, "2626c97f4484"), ("stopwords.txt", 314, "0ac98e548a9d")])

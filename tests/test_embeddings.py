@@ -160,7 +160,7 @@ class TestCharEncoder:
 
     def test_batch_rows_match_each_word_alone(self):
         # A word longer than the widest filter pads the others past their own
-        # six chars; a repeated word is encoded once and gets the same row.
+        # six chars; a repeated word is encoded in each of its rows alike.
         enc = E.CharEncoder(np.random.default_rng(5))
         words = ["check", "a", "extraordinarily", "check", "naïve"]
         with Tape() as tape:
