@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
 from .autodiff import ShapeError
-from .config import Config, ConfigError, config_from_dict, config_to_dict, validate
-from .data import SPECIALS, Vocabulary
+from .config import Config, ConfigError, config_from_dict, validate
+from .data import SPECIALS, Vocabulary, json_text
 from .embeddings import CHARS
-from .metrics import json_text
 from .models import DefinitionModel, assign_arrays, check_fits_memory, gated_input_dim
 
 FORMAT_VERSION = 1
@@ -46,14 +46,14 @@ def _write(path, meta: dict, arrays: dict) -> None:
         raise
 
 
-def _read(path, kind: str | None = None) -> tuple[dict, dict]:
-    """(header, arrays) of a file written by ``_write`` with header "kind"
-    ``kind`` (None for a checkpoint). The file comes from outside the program:
-    whatever fails while opening or parsing it is a CheckpointError."""
+def _read(path, kind: str | None = None, with_arrays: bool = True) -> tuple[dict, dict]:
+    """(header, arrays) of a ``_write`` file of header "kind" ``kind`` (None
+    for a checkpoint), arrays empty unless ``with_arrays``. The file comes from
+    outside: whatever fails while opening or parsing it is a CheckpointError."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data[META_KEY])) if META_KEY in data else None
-            arrays = {k: data[k] for k in data.files if k != META_KEY}
+            arrays = {k: data[k] for k in data.files if with_arrays and k != META_KEY}
     except Exception as exc:
         raise CheckpointError(f"{path}: not a readable .npz file "
                               f"({type(exc).__name__}: {exc})") from None
@@ -99,12 +99,20 @@ def _checked_header(path, meta: dict) -> Config:
         validate(cfg)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: stored config is invalid: {exc}") from None
+    if cfg.model.char_on and meta.get("char_vocab") != CHARS:
+        raise CheckpointError(f"{path}: header field 'char_vocab' is not this "
+                              "program's character inventory")
     return cfg
+
+
+def read_config(path) -> Config:
+    """The checked config in a checkpoint's header; its arrays are not read."""
+    return _checked_header(path, _read(path, with_arrays=False)[0])
 
 
 def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) -> None:
     meta = {
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "vocab_tokens": model.vocab.id_to_token,
         "vocab_fingerprint": model.vocab.fingerprint(),
         "seed": model.seed,

@@ -12,21 +12,21 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
 
 from .autodiff import NumericalError
-from .checkpoint import CheckpointError, load_checkpoint, load_pretrained
+from .checkpoint import CheckpointError, load_checkpoint, load_pretrained, read_config
 from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
                      config_digest, config_to_text, default_config,
                      load_config_file, set_key, validate)
 from .data import (SPECIALS, CorpusError, Vocabulary, apply_split_manifest,
-                   corpus_stats, load_corpus, load_stopwords, model_vocab,
+                   corpus_stats, json_text, load_corpus, load_stopwords, model_vocab,
                    partition_seen_unseen, split_by_sense, write_split_manifest)
 from .embeddings import EmbeddingError, load_word_embeddings
-from .metrics import MetricsError, evaluate, format_report, json_text, report_lines
+from .metrics import MetricsError, evaluate, format_report, report_lines
 from .models import DefinitionModel, check_fits_memory
 from .training import (TrainingError, load_lm_sentences, make_query_entry,
                        pretrain_decoder, train)
@@ -151,16 +151,12 @@ def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
 
 def _check_model_overrides(args, cfg: Config, stored: Config) -> None:
     """The checkpoint fixes the model ``eval`` and ``generate`` run and the
-    size of its vocabulary, so an ``--override`` of a ``model.<key>`` or of
-    ``data.vocab_size`` that differs from its stored value would change
+    size of its vocabulary, which ``_resolve_config`` copies into ``cfg``; a
+    value that differs there came from an ``--override`` that would change
     nothing yet enter the run record: a CliError naming both values."""
-    for item in args.override:
-        key = item.split("=", 1)[0].strip()
-        section, _, name = key.partition(".")
-        if section != "model" and key != "data.vocab_size":
-            continue
-        given = getattr(getattr(cfg, section), name)
-        fixed = getattr(getattr(stored, section), name)
+    for key in [f"model.{f.name}" for f in fields(cfg.model)] + ["data.vocab_size"]:
+        section, name = key.split(".")
+        given, fixed = (getattr(getattr(c, section), name) for c in (cfg, stored))
         if given != fixed:
             raise CliError(f"{args.checkpoint}: --override {key}={given} differs from "
                            f"the checkpoint's {key} = {fixed}, which fixes the model")
@@ -302,7 +298,7 @@ def cmd_eval(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     model, stored, meta = load_checkpoint(args.checkpoint, _contextual_file(cfg))
     _check_model_overrides(args, cfg, stored)
-    vocab = model_vocab(entries, stored.data.vocab_size)
+    vocab = model_vocab(entries, cfg.data.vocab_size)
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CliError(
             f"{args.checkpoint}: checkpoint vocabulary does not match this corpus "
@@ -347,13 +343,12 @@ ABLATION_FEATURES = (("base", {"char_on": False, "contextual_on": False}),
 def cmd_ablate(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
     vocab = model_vocab(entries, cfg.data.vocab_size)
-    base = replace(cfg, train=replace(cfg.train, max_epochs=args.epochs))
     rows = []
     for gate in (True, False):
         for feat_name, feat in ABLATION_FEATURES:
             for s0 in S0_VARIANTS:
-                run_cfg = replace(base, model=replace(cfg.model, gate_on=gate,
-                                                      s0_variant=s0, **feat))
+                run_cfg = replace(cfg, model=replace(cfg.model, gate_on=gate,
+                                                     s0_variant=s0, **feat))
                 model = _build_model(run_cfg, vocab)
                 n_params = sum(t.size for t in model.params().values())
                 result = train(model, run_cfg, entries, entries)
@@ -450,10 +445,18 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> Config:
+    """The one config a run records: the file's or the defaults, with a given
+    checkpoint's model and vocabulary size, then the overrides and flags."""
     cfg = load_config_file(args.config) if args.config else default_config()
+    if getattr(args, "checkpoint", None) is not None:
+        stored = read_config(args.checkpoint)
+        cfg = replace(cfg, model=stored.model,
+                      data=replace(cfg.data, vocab_size=stored.data.vocab_size))
     cfg = apply_overrides(cfg, args.override)
     if args.seed is not None:
         cfg = set_key(cfg, "train.seed", str(args.seed))
+    if getattr(args, "epochs", None) is not None:
+        cfg = set_key(cfg, "train.max_epochs", str(args.epochs))
     validate(cfg)
     return cfg
 

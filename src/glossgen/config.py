@@ -8,11 +8,10 @@ keys. A sha256 digest of the resolved config ties artifacts to their settings.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
-from .data import SPECIALS
+from .data import SPECIALS, json_text
 
 # kind -> (tasks in scoring order, hierarchical). A hierarchical kind re-runs
 # the first task's stack beneath the last task's. A task with a lower stack
@@ -154,8 +153,8 @@ def validate(cfg: Config) -> None:
         raise ConfigError(f"model.kind must be one of {tuple(KINDS)}, got {m.kind!r}")
     if m.s0_variant not in S0_VARIANTS:
         raise ConfigError(f"model.s0_variant {m.s0_variant!r} unknown")
-    if not m.temperature > 0:
-        raise ConfigError("model.temperature must be positive")
+    if not 0 < m.temperature < math.inf:
+        raise ConfigError("model.temperature must be positive and finite")
     t = cfg.train
     if not (t.batch_size > 0 and t.max_epochs >= 0 and t.patience >= 0):
         raise ConfigError("train.batch_size/max_epochs/patience out of range")
@@ -181,12 +180,6 @@ def validate(cfg: Config) -> None:
             f"data.split_ratios {d.split_ratios} must be non-negative and sum to 1")
 
 
-def config_to_dict(cfg: Config) -> dict:
-    out = asdict(cfg)
-    out["data"]["split_ratios"] = list(out["data"]["split_ratios"])
-    return out
-
-
 def _typed(key: str, value, current):
     """A value read back from JSON, checked against the type of ``current``."""
     def number(v):
@@ -208,7 +201,7 @@ def _typed(key: str, value, current):
 
 
 def config_from_dict(payload) -> Config:
-    """Rebuild a config from ``config_to_dict`` output read back from a file.
+    """Rebuild a config from its ``asdict`` form read back from a JSON file.
 
     Each section must be an object and each value must have its field's type,
     else a ConfigError names the key; absent fields take their defaults.
@@ -247,5 +240,5 @@ def config_to_text(cfg: Config) -> str:
 
 
 def config_digest(cfg: Config) -> str:
-    payload = json.dumps(config_to_dict(cfg), sort_keys=True).encode("utf-8")
+    payload = json_text(asdict(cfg)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -37,6 +37,21 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def json_text(payload, indent: int | None = None) -> str:
+    """Strict JSON with sorted keys; a non-finite float (an undefined metric,
+    such as the perplexity of an empty split) is written as null."""
+    def clean(value):
+        if isinstance(value, float) and not np.isfinite(value):
+            return None
+        if isinstance(value, dict):
+            return {k: clean(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [clean(v) for v in value]
+        return value
+
+    return json.dumps(clean(payload), sort_keys=True, indent=indent, allow_nan=False)
+
+
 def find_target_occurrence(tokens: list[str], word: str) -> int | None:
     """Leftmost index of ``word`` in ``tokens``, allowing inflected forms.
 
@@ -286,8 +301,7 @@ def corpus_stats(splits: dict) -> dict:
 def write_split_manifest(splits: dict, path) -> None:
     manifest = {name: [e.entry_id for e in entries] for name, entries in splits.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=0, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(manifest, indent=0) + "\n")
 
 
 def apply_split_manifest(entries, path) -> dict:

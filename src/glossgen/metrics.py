@@ -10,32 +10,16 @@ of that scorer's documented rules, not a byte-exact port.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import find_target_occurrence, stable_seed
+from .data import find_target_occurrence, json_text, stable_seed
 
 
 class MetricsError(Exception):
     pass
-
-
-def json_text(payload, indent: int | None = None) -> str:
-    """Strict JSON with sorted keys; a non-finite float (an undefined metric,
-    such as the perplexity of an empty split) is written as null."""
-    def clean(value):
-        if isinstance(value, float) and not np.isfinite(value):
-            return None
-        if isinstance(value, dict):
-            return {k: clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        return value
-
-    return json.dumps(clean(payload), sort_keys=True, indent=indent, allow_nan=False)
 
 
 def _ngram_counts(tokens, n: int) -> Counter:

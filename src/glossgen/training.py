@@ -18,8 +18,8 @@ from .autodiff import (AdamState, NumericalError, ShapeError, Tape, adam_step, b
                        global_grad_norm, zero_grads)
 from .checkpoint import save_checkpoint, save_pretrained
 from .config import Config
-from .data import DictionaryEntry, find_target_occurrence, tokenize
-from .metrics import json_text, perplexity
+from .data import DictionaryEntry, find_target_occurrence, json_text, tokenize
+from .metrics import perplexity
 
 
 class TrainingError(Exception):

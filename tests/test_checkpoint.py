@@ -1,14 +1,16 @@
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from glossgen.checkpoint import (FORMAT_VERSION, META_KEY, CheckpointError,
-                                 load_checkpoint, load_pretrained,
+                                 load_checkpoint, load_pretrained, read_config,
                                  save_checkpoint, save_pretrained)
-from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig, config_to_dict
+from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
 from glossgen.data import DictionaryEntry, Vocabulary
+from glossgen.embeddings import CHARS
 from glossgen.models import DefinitionModel
 
 WORDS = ["check", "run", "walk", "cat", "dog", "sun", "tree", "bird",
@@ -95,7 +97,7 @@ class TestRoundTrip:
         path = tmp_path / "m.npz"
         save_checkpoint(path, model, cfg)
         _, cfg2, meta = load_checkpoint(path)
-        assert config_to_dict(cfg2) == config_to_dict(cfg)
+        assert asdict(cfg2) == asdict(cfg)
         assert meta["seed"] == 1
 
     def test_mutating_original_does_not_touch_reload(self, tmp_path):
@@ -118,11 +120,27 @@ class TestRoundTrip:
         cfg = full_cfg()
         path, old = tmp_path / "m.npz", tmp_path / "old.npz"
         save_checkpoint(path, build(), cfg)
-        payload = config_to_dict(cfg)
+        payload = asdict(cfg)
         payload["data"]["stopwords"] = ""
         _tamper(path, old, config=payload)
         _, cfg2, _ = load_checkpoint(old)
-        assert config_to_dict(cfg2) == config_to_dict(cfg)
+        assert asdict(cfg2) == asdict(cfg)
+
+    @pytest.mark.parametrize("kw", [{}, {"kind": "hier-du", "char_on": True}])
+    def test_read_config_is_the_loaded_config(self, tmp_path, kw):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, build(**kw), full_cfg(**kw))
+        assert read_config(path) == load_checkpoint(path)[1]
+
+    def test_read_config_reads_no_array(self, tmp_path):
+        # the header alone: a checkpoint holding no array still gives it
+        path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+        save_checkpoint(path, build(), full_cfg())
+        with np.load(path, allow_pickle=False) as data:
+            np.savez(bad, **{META_KEY: data[META_KEY]})
+        with pytest.raises(CheckpointError, match="missing"):
+            load_checkpoint(bad)
+        assert read_config(bad) == full_cfg()
 
 
 class TestGuards:
@@ -210,6 +228,23 @@ class TestGuards:
         _tamper(path, bad, vocab_tokens=tokens + [tokens[-1]])
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: .*repeats"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("char_vocab", [None, "abcdefghijklmnopqrstuvwxyz",
+                                            CHARS[:-1], CHARS[::-1]])
+    def test_char_inventory_checked_when_read(self, tmp_path, char_vocab):
+        # a char-on model's table rows are indexed by the stored inventory,
+        # so one that is not this program's would map characters to other rows
+        path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+        save_checkpoint(path, build(char_on=True), full_cfg(char_on=True))
+        _tamper(path, bad, char_vocab=char_vocab)
+        for read in (load_checkpoint, read_config):
+            with pytest.raises(CheckpointError,
+                               match=f"^{re.escape(str(bad))}: .*'char_vocab'"):
+                read(bad)
+        # a model without the char encoder reads no inventory
+        save_checkpoint(path, build(), full_cfg())
+        _tamper(path, bad, char_vocab=char_vocab)
+        load_checkpoint(bad)
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "not.npz"

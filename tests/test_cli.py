@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from glossgen import checkpoint
 from glossgen.autodiff import ShapeError
 from glossgen.cli import main, resolve_data_path
-from glossgen.config import S0_VARIANTS, default_config
-from glossgen.data import load_corpus, split_by_sense
+from glossgen.config import (S0_VARIANTS, config_to_text, default_config,
+                             load_config_file, set_key)
+from glossgen.data import Vocabulary, load_corpus, split_by_sense
 from glossgen.models import DefinitionModel, expected_param_count
 
 MICRO_CFG = """
@@ -410,6 +411,36 @@ class TestEvalAndGenerate:
         assert "error:" in err and "internal error" not in err
         assert all(part in err for part in named) and trained["checkpoint"] in err
 
+    def test_config_file_model_section_gives_way_to_checkpoint(self, trained, tmp_path,
+                                                               capsys):
+        # the checkpoint fixes the model, so a config file's model.* value
+        # changes nothing eval runs, and the run records the training config
+        hot = tmp_path / "hot.cfg"
+        hot.write_text(Path(trained["cfg"]).read_text() + "model.temperature = 5.0\n")
+        bodies = []
+        for cfg, out in ((trained["cfg"], tmp_path / "ev"), (str(hot), tmp_path / "hot")):
+            assert main(["eval", "--config", cfg, "--seed", "0",
+                         "--checkpoint", trained["checkpoint"],
+                         "--manifest", trained["manifest"], "--out-dir", str(out)]) == 0
+            bodies.append((out / "report.txt").read_text().splitlines()[2:])
+        train_run = json.loads((Path(trained["dir"]) / "run.json").read_text())
+        hot_run = json.loads((tmp_path / "hot" / "run.json").read_text())
+        assert hot_run["config_digest"] == train_run["config_digest"]
+        assert bodies[0] == bodies[1] and bodies[0]
+
+    def test_eval_without_config_records_checkpoint_model(self, trained, tmp_path, capsys):
+        out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", trained["checkpoint"],
+                     "--manifest", trained["manifest"], "--out-dir", str(out)]) == 0
+        stored = config_to_text(checkpoint.load_checkpoint(trained["checkpoint"])[1])
+
+        def fixed(text):
+            return [line for line in text.splitlines()
+                    if line.startswith(("model.", "data.vocab_size "))]
+
+        assert fixed((out / "config.txt").read_text()) == fixed(stored)
+        assert "model.d_w = 8" in fixed(stored)
+
     def test_model_override_equal_to_checkpoint_accepted(self, trained, tmp_path, capsys):
         given = ["--config", trained["cfg"], "--checkpoint", trained["checkpoint"],
                  "--override", "model.d_w=8", "--override", "model.max_gen_len=8"]
@@ -587,6 +618,29 @@ class TestMalformedInputFiles:
         self.run(["generate", "--config", trained["cfg"], "--checkpoint", str(path),
                   "--word", "check", "--context", "a check mark"], path, capsys)
 
+    def test_unreadable_checkpoint_leaves_no_run_directory(self, tmp_path, capsys):
+        # the checkpoint's header is read while the run's config is resolved,
+        # before the run directory is made
+        path, out = tmp_path / "model.npz", tmp_path / "ev"
+        path.write_text("# glossgen\n")
+        self.run(["eval", "--checkpoint", str(path), "--out-dir", str(out)], path, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["drop", "reverse"])
+    def test_checkpoint_char_inventory(self, cfg_path, tmp_path, capsys, edit):
+        cfg = set_key(load_config_file(cfg_path), "model.char_on", "true")
+        model = DefinitionModel(cfg.model, Vocabulary(["check", "oil"]), seed=0)
+        path, bad = tmp_path / "model.npz", tmp_path / "bad.npz"
+        checkpoint.save_checkpoint(path, model, cfg)
+        argv = ["generate", "--word", "check", "--context", "check the oil", "--checkpoint"]
+        assert main(argv + [str(path)]) == 0
+        meta, arrays = checkpoint._read(path)
+        chars = meta.pop("char_vocab")
+        if edit == "reverse":
+            meta["char_vocab"] = chars[::-1]
+        checkpoint._write(bad, meta, arrays)
+        self.run(argv + [str(bad)], bad, capsys)
+
     def test_checkpoint_missing_array(self, trained, tmp_path, capsys):
         path = tmp_path / "broken.npz"
         meta, arrays = checkpoint._read(trained["checkpoint"])
@@ -687,6 +741,14 @@ class TestAblate:
         assert len(rows) == len(S0_VARIANTS)
         assert all("features=base" in row for row in rows)
 
+    def test_epochs_set_max_epochs(self, cfg_path, tmp_path, capsys):
+        # --epochs is the run's train.max_epochs, whatever the config file says
+        assert "train.max_epochs = 2" in Path(cfg_path).read_text()
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", cfg_path, "--out-dir", str(out),
+                     "--epochs", "1"]) == 0
+        assert "train.max_epochs = 1\n" in (out / "config.txt").read_text()
+
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_epochs_below_one_is_user_error(self, cfg_path, tmp_path, capsys, epochs):
         out = tmp_path / "abl"
@@ -723,6 +785,7 @@ class TestErrorsAndPaths:
         (["--override", "train.eps=0"], "train.eps"),
         (["--override", "train.clip_norm=0"], "train.clip_norm"),
         (["--override", "train.clip_norm=-5"], "train.clip_norm"),
+        (["--override", "model.temperature=inf"], "model.temperature"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, args, key):
         assert main(["data", "split", "--out-dir", str(tmp_path / "s")] + args) == 1

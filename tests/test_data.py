@@ -1,9 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 from glossgen import data as D
 from glossgen.cli import asset_path, main
+from glossgen.config import config_digest, default_config, set_key
 
 
 def make_record(**overrides):
@@ -186,6 +189,43 @@ class TestStableSeed:
         assert D.stable_seed(123, "é") == 12206518619071985475
         assert D.stable_seed(0, "check", "the", "is") == 17915997345362770075
         assert D.stable_seed(3, "naïve", "", "") == 10655668103367429859
+
+
+class TestJsonText:
+    def test_only_json_writer(self):
+        # every JSON file, record and checkpoint header is written by
+        # json_text: no other json.dump or json.dumps call in the package
+        calls = []
+        for path in sorted(Path(D.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.ImportFrom) and node.module == "json":
+                        calls.append((path.name, "from json import"))
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("dump", "dumps")
+                            and isinstance(node.func.value, ast.Name)
+                            and node.func.value.id == "json"):
+                        calls.append((path.name, getattr(top, "name", None)))
+        assert calls == [("data.py", "json_text")]
+
+    def test_config_digest_pinned(self):
+        # run records of different versions compare by this digest
+        cfg = default_config()
+        assert config_digest(cfg) == (
+            "03e4ea428aaae8fa1ec9fb39ea3e4230a2f8fdda95d3dc3f8a117d6ea9b57e42")
+        cfg = set_key(set_key(cfg, "model.kind", "hier-du"),
+                      "data.split_ratios", "0.7,0.15,0.15")
+        assert config_digest(cfg) == (
+            "ccb36afce7ec024fa03e9df3e55af9bd6c5540596c00de3768c8ff3e523fe5cf")
+
+    def test_split_manifest_layout(self, tmp_path):
+        path = tmp_path / "split_manifest.json"
+        D.write_split_manifest({"train": [entry("a", "s", "a.1")], "valid": [],
+                                "test": [entry("b", "s", "b.1"), entry("c", "s", "c.1")]},
+                               path)
+        assert path.read_text() == ('{\n"test": [\n"b.1",\n"c.1"\n],\n'
+                                    '"train": [\n"a.1"\n],\n"valid": []\n}\n')
 
 
 class TestModelVocab:
