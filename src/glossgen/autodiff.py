@@ -33,15 +33,20 @@ class Tensor:
     contribution, which becomes the gradient (a C-contiguous array shaped
     like ``data``); later contributions add into it. ``adam_step`` and
     ``zero_grads`` drop it back to None, so gradients exist only between
-    backward and the optimizer step.
+    backward and the optimizer step. A taped output's gradient lives only
+    until its own rule has run. ``leaf`` marks a tensor made by this
+    constructor rather than by a primitive: a leaf weight read as a 2-d
+    matmul right operand gets that part of its gradient after the sweep's
+    last rule.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "leaf")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.leaf = True
 
     @classmethod
     def _wrap(cls, array):
@@ -49,6 +54,7 @@ class Tensor:
         t.data = array
         t.requires_grad = False
         t.grad = None
+        t.leaf = False
         return t
 
     @property
@@ -85,10 +91,15 @@ class Tape:
 
     Recording order is execution order, so every node's inputs appear earlier
     (or are leaves); one reverse sweep therefore visits each node exactly once.
+    ``deferred`` holds, during that sweep, the products the sweep forms after
+    its last rule: for each leaf weight read as a 2-d matmul right operand,
+    by id, the weight and the row blocks xs, ys whose product
+    concat(xs).T @ concat(ys) is that part of its gradient.
     """
 
     def __init__(self):
         self.nodes = []
+        self.deferred: dict[int, tuple[Tensor, list, list]] = {}
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -168,6 +179,9 @@ def matmul(a: Tensor, b: Tensor, transpose_a=False, transpose_b=False) -> Tensor
         out = out[:, 0]
     if a_vec:
         out = out[0]
+    # the rule is recorded only on an active tape; the dict, not the tape,
+    # is held, so no node refers back to its tape
+    deferred = _TAPE_STACK[-1].deferred if _TAPE_STACK else None
 
     def backward(g):
         g2 = g
@@ -182,7 +196,12 @@ def matmul(a: Tensor, b: Tensor, transpose_a=False, transpose_b=False) -> Tensor
             elif transpose_a:
                 ga = ga.T
             _accumulate(a, ga)
-        if b.requires_grad:
+        if b.requires_grad and b.leaf and not b_vec:
+            # A.T @ g, or its transpose g.T @ A, is formed after the sweep
+            _, xs, ys = deferred.setdefault(id(b), (b, [], []))
+            xs.append(g2 if transpose_b else A2)
+            ys.append(A2 if transpose_b else g2)
+        elif b.requires_grad:
             gb = A2.T @ g2
             if b_vec:
                 gb = gb[:, 0]
@@ -462,21 +481,35 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate gradients of every requires_grad tensor reachable from loss.
+    """Populate gradients of every requires_grad leaf reachable from loss.
 
     Loss must be a size-1 tensor produced on this tape. Gradients accumulate
     additively, both across multiple uses of a leaf and across calls until
     ``adam_step`` or ``zero_grads`` drops them. A node whose output received
-    no gradient (a branch the loss does not read) is skipped.
+    no gradient (a branch the loss does not read) is skipped. Each output's
+    gradient is dropped once its node's rule has run, so every taped
+    output's ``grad`` is None on return. The products for leaf weights read
+    as 2-d matmul right operands are formed last, one per weight over the
+    rows of all its reads: a recurrent matrix gets one product per call, not
+    one per time step.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not any(node.output is loss for node in reversed(tape.nodes)):
         raise AutodiffError("backward: loss was not produced on this tape")
     loss.grad = np.ones(loss.data.shape)
-    for node in reversed(tape.nodes):
-        if node.output.grad is not None:
-            node.backward_fn(node.output.grad)
+    try:
+        for node in reversed(tape.nodes):
+            if node.output.grad is not None:
+                node.backward_fn(node.output.grad)
+                node.output.grad = None
+        while tape.deferred:
+            weight, xs, ys = tape.deferred.popitem()[1]
+            x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+            y = ys[0] if len(ys) == 1 else np.concatenate(ys)
+            _accumulate(weight, x.T @ y)
+    finally:
+        tape.deferred.clear()
 
 
 def grad_check(f, point, h: float = 1e-5, coord_limit: int | None = None, seed: int = 0):

@@ -46,6 +46,16 @@ def _log(fh, record: dict) -> None:
         fh.flush()
 
 
+def _taped_step(score, batch) -> float:
+    """One taped forward and backward pass over ``batch``; returns the loss.
+    The tape, and with it every activation of the step, is freed on return,
+    so none of it is alive when the optimizer allocates."""
+    with Tape() as tape:
+        loss = score(batch).loss
+        backward(tape, loss)
+    return float(loss.data)
+
+
 def _fit(params, t, items, epochs: int, score, where, log_path,
          end_epoch=None) -> list[dict]:
     """The fit loop: Adam on minibatches of ``items``, reshuffled each epoch.
@@ -56,7 +66,8 @@ def _fit(params, t, items, epochs: int, score, where, log_path,
     non-finite loss or gradient norm aborts before Adam touches a parameter.
     Gradients left from before the fit are dropped once here; after that
     each backward pass makes them and ``adam_step``, which applies the clip
-    factor, drops them again. Each step's log record
+    factor, drops them again. The step's tape is freed before the gradient
+    norm and Adam run (``_taped_step``). Each step's log record
     holds the pre-clip gradient norm and whether it was clipped.
     ``end_epoch(record)``, when given, adds fields to the epoch's record
     before it is logged and returns True to stop. Returns the epoch records.
@@ -72,9 +83,7 @@ def _fit(params, t, items, epochs: int, score, where, log_path,
             for batch in _batches(items, t.batch_size, rng):
                 step += 1
                 try:
-                    with Tape() as tape:
-                        loss = score(batch).loss
-                        backward(tape, loss)
+                    loss_val = _taped_step(score, batch)
                 except NumericalError as exc:
                     raise TrainingError(
                         f"non-finite values at {where(epoch, step, batch)}: {exc}") from exc
@@ -84,7 +93,6 @@ def _fit(params, t, items, epochs: int, score, where, log_path,
                         f"non-finite gradient norm {norm} at {where(epoch, step, batch)}")
                 clipped = norm > t.clip_norm
                 adam_step(params, adam, t.clip_norm / norm if clipped else 1.0)
-                loss_val = float(loss.data)
                 epoch_loss += loss_val
                 epoch_batches += 1
                 _log(log, {"epoch": epoch, "step": step, "loss": loss_val,

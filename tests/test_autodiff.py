@@ -223,18 +223,20 @@ class TestBackward:
 
 
 def backward_keeping_output_grads(tape, loss):
-    """``backward``, then check that no node's output gradient changed after
-    its own backward rule read it: a later contribution that lands in an
-    array the rule handed on uncopied would show here."""
+    """``backward``, then check that no array a backward rule read as its
+    output's gradient changed after the rule was handed it: a contribution
+    that lands in an array some rule handed on uncopied would show here.
+    Each array is held with a copy taken before its rule ran, since the
+    sweep drops ``node.output.grad`` once the rule has run."""
     seen = []
     for node in tape.nodes:
-        def rule(g, _run=node.backward_fn, _node=node):
-            seen.append((_node, g.copy()))
+        def rule(g, _run=node.backward_fn, _op=node.op):
+            seen.append((_op, g, g.copy()))
             _run(g)
         node.backward_fn = rule
     backward(tape, loss)
-    for node, g in seen:
-        assert np.array_equal(node.output.grad, g), node.op
+    for op, g, before in seen:
+        assert np.array_equal(g, before), op
 
 
 class TestGradientContract:
@@ -344,6 +346,100 @@ class TestGradientContract:
         x = rand_param(rng, (3,))
         x.grad = np.full(3, 1e6)
         assert grad_check(lambda x: sum_all(ad.tanh(x)), [x]) < 1e-6
+
+
+def close(actual, expected, rel=1e-12):
+    """Within ``rel`` of the expected array's largest entry."""
+    return np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+# the upstream gradient of each read in ``several_reads``
+READ_WEIGHTS = [np.random.default_rng(40).normal(size=s)
+                for s in ((5, 3), (3,), (2, 4), (4,))]
+
+
+def several_reads(W, x, row, xt, v):
+    """W read as a matmul right operand three times (one read transposed,
+    one by a 1-d row) and once as a left operand; v read as a 1-d right
+    operand, which is not deferred. Each read's upstream gradient is its
+    entry of ``READ_WEIGHTS``."""
+    outs = [ad.matmul(x, W), ad.matmul(row, W), ad.matmul(xt, W, transpose_b=True),
+            ad.matmul(W, v)]
+    terms = [sum_all(ad.mul(o, Tensor(w))) for o, w in zip(outs, READ_WEIGHTS)]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return loss
+
+
+class TestDeferredWeightProducts:
+    """A leaf read as a 2-d matmul right operand gets one product, formed
+    after the sweep's last rule, over the rows of every such read."""
+
+    @staticmethod
+    def operands(seed=41):
+        rng = np.random.default_rng(seed)
+        return [rand_param(rng, s) for s in ((4, 3), (5, 4), (4,), (2, 3), (3,))]
+
+    def test_products_match_separate_ones(self):
+        W, x, row, xt, v = point = self.operands()
+        pending = []
+        with Tape() as tape:
+            loss = several_reads(*point)
+        first = tape.nodes[0]
+        assert first.op == "matmul" and first.inputs == (x, W)
+
+        def last_rule(g, _run=first.backward_fn):
+            _run(g)
+            pending.append(len(tape.deferred[id(W)][1]))
+        first.backward_fn = last_rule
+        backward(tape, loss)
+        # the three right-operand reads wait for the one product after the sweep
+        assert pending == [3] and not tape.deferred
+        g1, g2, g3, g4 = READ_WEIGHTS
+        expected_W = (x.data.T @ g1 + np.outer(row.data, g2) + (xt.data.T @ g3).T
+                      + np.outer(g4, v.data))
+        assert close(W.grad, expected_W)
+        assert close(v.grad, W.data.T @ g4)
+        assert close(x.grad, g1 @ W.data.T)
+        assert close(row.grad, W.data @ g2)
+        assert close(xt.grad, g3 @ W.data)
+        assert grad_check(several_reads, point) < 1e-6
+
+    def test_two_sweeps_before_adam_accumulate(self):
+        point = self.operands()
+        with Tape() as tape:
+            backward(tape, several_reads(*point))
+        once = [p.grad.copy() for p in point]
+        with Tape() as tape:
+            backward(tape, several_reads(*point))
+        for p, g in zip(point, once):
+            assert close(p.grad, 2.0 * g)
+
+    def test_every_leaf_gradient_is_contiguous(self):
+        point = self.operands()
+        with Tape() as tape:
+            backward(tape, several_reads(*point))
+        assert all(p.grad.flags.c_contiguous for p in point)
+        adam_step({str(i): p for i, p in enumerate(point)}, AdamState())
+        assert all(p.grad is None for p in point)
+
+    def test_failed_sweep_leaves_no_pending_product(self):
+        rng = np.random.default_rng(42)
+        x0, W = rand_param(rng, (3, 4)), rand_param(rng, (4, 2))
+        with Tape() as tape:
+            loss = sum_all(ad.matmul(ad.tanh(x0), W))
+        tanh_node = tape.nodes[0]
+
+        def fail(g):
+            raise RuntimeError("rule failed")
+        tanh_node.backward_fn = fail
+        with pytest.raises(RuntimeError):
+            backward(tape, loss)
+        assert not tape.deferred and W.grad is None
+        tanh_node.backward_fn = lambda g: None
+        backward(tape, loss)
+        assert close(W.grad, np.tanh(x0.data).T @ np.ones((3, 2)))
 
 
 class TestGradCheck:

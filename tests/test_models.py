@@ -537,6 +537,40 @@ class TestGradients:
 
         assert grad_check(f, list(params.values()), coord_limit=2, seed=0) < 1e-3
 
+    def test_hier_du_deferred_weights_grad_check(self):
+        # hier-du re-runs the definition stack under the usage decoder, so
+        # each of its recurrent matrices and its gate take deferred rows from
+        # every step of both runs, over a batch whose tasks pad differently;
+        # the encoder's recurrent matrices take one block per step
+        model = DefinitionModel(micro_cfg(kind="hier-du"), make_vocab(), seed=14)
+        entries = padded_batch()
+        params = model.params()
+        point = [p for n, p in params.items() if ".U_" in n or n.endswith("gate.W_g")]
+        assert len(point) == 6 + 2 * (1 + 3 * model.cfg.n_decoder_layers)
+
+        def f(*tensors):
+            return model.forward_batch(entries).loss
+
+        assert grad_check(f, point, coord_limit=12, seed=1) < 1e-6
+
+    def test_backward_keeps_leaf_gradients_only(self):
+        model = DefinitionModel(micro_cfg(kind="hier-du"), make_vocab(), seed=14)
+        with Tape() as tape:
+            loss = model.forward_batch(padded_batch()).loss
+            backward(tape, loss)
+        assert all(node.output.grad is None for node in tape.nodes)
+        made_by = {id(node.output): node for node in tape.nodes}
+        reached, todo = set(), [loss]
+        while todo:
+            t = todo.pop()
+            if id(t) in made_by and id(t) not in reached:
+                reached.add(id(t))
+                todo.extend(made_by[id(t)].inputs)
+        leaves = {id(t): t for node in tape.nodes if id(node.output) in reached
+                  for t in node.inputs if t.leaf and t.requires_grad}
+        assert {id(p) for p in model.params().values()} >= leaves.keys()
+        assert leaves and all(t.grad is not None for t in leaves.values())
+
     def test_frozen_table_untouched_by_training_step(self):
         model = DefinitionModel(micro_cfg(), make_vocab(), seed=15)
         frozen_before = model.embedding.frozen.data.copy()

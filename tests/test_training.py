@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -358,6 +359,26 @@ class TestOptimizerPass:
                       lambda epoch, step, batch: f"step {step}", None)
         assert held == [sorted(params), []]
         assert all(p.grad is None for p in params.values())
+
+    def test_tape_is_freed_before_adam(self, monkeypatch):
+        # the step's activations must not be alive while the optimizer allocates
+        tapes, alive_at_adam = [], []
+        real_backward, real_adam = training.backward, training.adam_step
+
+        def backward_and_watch(tape, loss):
+            tapes.append(weakref.ref(tape))
+            real_backward(tape, loss)
+
+        def adam_and_look(*args):
+            alive_at_adam.append(sum(ref() is not None for ref in tapes))
+            real_adam(*args)
+
+        monkeypatch.setattr(training, "backward", backward_and_watch)
+        monkeypatch.setattr(training, "adam_step", adam_and_look)
+        model = build(seed=0, kind="hier-du")
+        train(model, full_cfg(model_kw={"kind": "hier-du"}, max_epochs=1, batch_size=3),
+              corpus(with_usage=True), [])
+        assert len(tapes) == 3 and alive_at_adam == [0, 0, 0]
 
     def test_one_adam_step_per_batch_and_one_zeroing_per_fit(self, monkeypatch):
         # the benchmark ends a training step at each adam_step return
