@@ -9,6 +9,7 @@ produce byte-identical logs and reports. Exit codes: 0 ok, 1 user error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ import numpy as np
 
 from .autodiff import NumericalError
 from .checkpoint import CheckpointError, load_checkpoint, load_pretrained, read_config
-from .config import (S0_VARIANTS, Config, ConfigError, apply_overrides,
+from .config import (KINDS, S0_VARIANTS, Config, ConfigError, apply_overrides,
                      config_digest, config_to_text, default_config,
                      load_config_file, set_key, validate)
 from .data import (SPECIALS, CorpusError, Vocabulary, apply_split_manifest,
@@ -147,19 +148,6 @@ def _build_model(cfg: Config, vocab: Vocabulary) -> DefinitionModel:
         print(f"embedding file covers {coverage:.1%} of the vocabulary")
     return DefinitionModel(cfg.model, vocab, seed=cfg.train.seed, pretrained_matrix=pretrained,
                            contextual_file=_contextual_file(cfg))
-
-
-def _check_model_overrides(args, cfg: Config, stored: Config) -> None:
-    """The checkpoint fixes the model ``eval`` and ``generate`` run and the
-    size of its vocabulary, which ``_resolve_config`` copies into ``cfg``; a
-    value that differs there came from an ``--override`` that would change
-    nothing yet enter the run record: a CliError naming both values."""
-    for key in [f"model.{f.name}" for f in fields(cfg.model)] + ["data.vocab_size"]:
-        section, name = key.split(".")
-        given, fixed = (getattr(getattr(c, section), name) for c in (cfg, stored))
-        if given != fixed:
-            raise CliError(f"{args.checkpoint}: --override {key}={given} differs from "
-                           f"the checkpoint's {key} = {fixed}, which fixes the model")
 
 
 @contextmanager
@@ -296,8 +284,7 @@ def cmd_train(args, cfg, run) -> int:
 
 def cmd_eval(args, cfg, run) -> int:
     entries, _ = _load_entries(cfg)
-    model, stored, meta = load_checkpoint(args.checkpoint, _contextual_file(cfg))
-    _check_model_overrides(args, cfg, stored)
+    model, _, meta = load_checkpoint(args.checkpoint, _contextual_file(cfg))
     vocab = model_vocab(entries, cfg.data.vocab_size)
     if vocab.fingerprint() != meta["vocab_fingerprint"]:
         raise CliError(
@@ -315,18 +302,13 @@ def cmd_eval(args, cfg, run) -> int:
 
 
 def cmd_generate(args, cfg, run) -> int:
-    if args.temperature is not None and not args.temperature > 0:
-        raise CliError(f"--temperature must be positive, got {args.temperature}")
-    model, stored, _ = load_checkpoint(args.checkpoint, _contextual_file(cfg))
-    _check_model_overrides(args, cfg, stored)
-    if args.task not in model.tasks:
-        raise CliError(f"{args.checkpoint}: a {model.cfg.kind} checkpoint has no "
-                       f"{args.task!r} task")
-    for i, context in enumerate(args.context):
-        entry = make_query_entry(args.word, context, entry_id=f"query-{i}")
+    entries = [make_query_entry(args.word, context, entry_id=f"query-{i}")
+               for i, context in enumerate(args.context)]
+    model, _, _ = load_checkpoint(args.checkpoint, _contextual_file(cfg))
+    for entry in entries:
         with _checkpoint_numerics(args.checkpoint):
             tokens, meta = model.generate(entry, task=args.task,
-                                          temperature=args.temperature,
+                                          temperature=cfg.model.temperature,
                                           seed=cfg.train.seed)
         record = {"word": entry.word, "context": " ".join(entry.contexts[0]),
                   "output": " ".join(tokens)}
@@ -403,28 +385,35 @@ def build_parser() -> _Parser:
     p_data = sub.add_parser("data", help="corpus utilities")
     data_sub = p_data.add_subparsers(dest="data_command", required=True)
     data_sub.add_parser("validate", parents=[optional_out],
-                        help="parse the corpus and print a validation report")
+                        help="parse the corpus and print a validation report"
+                        ).set_defaults(handler=cmd_data_validate)
     data_sub.add_parser("split", parents=[required_out],
-                        help="write a sense-disjoint train/valid/test manifest")
+                        help="write a sense-disjoint train/valid/test manifest"
+                        ).set_defaults(handler=cmd_data_split)
     p_stats = data_sub.add_parser("stats", parents=[optional_out],
                                   help="per-split corpus statistics")
     p_stats.add_argument("--manifest", help="split manifest to group by")
+    p_stats.set_defaults(handler=cmd_data_stats)
     p_vocab = data_sub.add_parser("vocab", parents=[optional_out],
                                   help="build and save the token vocabulary")
     p_vocab.add_argument("--stopwords",
                          help="stopword file to filter with, or 'bundled'")
+    p_vocab.set_defaults(handler=cmd_data_vocab)
 
     sub.add_parser("pretrain", parents=[required_out],
-                   help="language-model pretraining of the decoder branch")
+                   help="language-model pretraining of the decoder branch"
+                   ).set_defaults(handler=cmd_pretrain)
 
     p_train = sub.add_parser("train", parents=[required_out], help="fit a model")
     p_train.add_argument("--pretrained", help="warm-start file from 'pretrain'")
     p_train.add_argument("--manifest", help="reuse an existing split manifest")
+    p_train.set_defaults(handler=cmd_train)
 
     p_eval = sub.add_parser("eval", parents=[optional_out],
                             help="score a checkpoint on the test split")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", help="split manifest; omitted = whole corpus")
+    p_eval.set_defaults(handler=cmd_eval)
 
     p_gen = sub.add_parser("generate", parents=[optional_out],
                            help="define a word as used in the given context")
@@ -434,44 +423,52 @@ def build_parser() -> _Parser:
                        help="context sentence, repeatable")
     p_gen.add_argument("--task", choices=("definition", "usage"),
                        default="definition")
-    p_gen.add_argument("--temperature", type=float)
+    p_gen.add_argument("--temperature", type=float, help="sets model.temperature")
+    p_gen.set_defaults(handler=cmd_generate)
 
     p_abl = sub.add_parser("ablate", parents=[required_out],
                            help="train every switch combination and tabulate")
     p_abl.add_argument("--epochs", type=_epochs, default=1,
                        help="epochs per combination, at least 1 (default 1)")
+    p_abl.set_defaults(handler=cmd_ablate)
 
     return parser
 
 
 def _resolve_config(args) -> Config:
-    """The one config a run records: the file's or the defaults, with a given
-    checkpoint's model and vocabulary size, then the overrides and flags."""
+    """The one config a run records, resolved and judged before the run
+    writes or loads anything: the file's or the defaults, with a given
+    checkpoint's model and vocabulary size, then the overrides, which may
+    not change what the checkpoint fixes, then the flags."""
     cfg = load_config_file(args.config) if args.config else default_config()
-    if getattr(args, "checkpoint", None) is not None:
-        stored = read_config(args.checkpoint)
+    path = getattr(args, "checkpoint", None)
+    if path is not None:
+        stored = read_config(path)
         cfg = replace(cfg, model=stored.model,
                       data=replace(cfg.data, vocab_size=stored.data.vocab_size))
     cfg = apply_overrides(cfg, args.override)
+    if path is not None:
+        # a value apart from the checkpoint's came from an override that
+        # would change nothing yet enter the run record
+        for key in [f"model.{f.name}" for f in fields(cfg.model)] + ["data.vocab_size"]:
+            section, name = key.split(".")
+            given, fixed = (getattr(getattr(c, section), name) for c in (cfg, stored))
+            if given != fixed:
+                raise CliError(f"{path}: --override {key}={given} differs from "
+                               f"the checkpoint's {key} = {fixed}, which fixes the model")
     if args.seed is not None:
         cfg = set_key(cfg, "train.seed", str(args.seed))
     if getattr(args, "epochs", None) is not None:
         cfg = set_key(cfg, "train.max_epochs", str(args.epochs))
+    if getattr(args, "temperature", None) is not None:
+        if not 0 < args.temperature < math.inf:
+            raise CliError(f"--temperature must be positive and finite, "
+                           f"got {args.temperature}")
+        cfg = set_key(cfg, "model.temperature", str(args.temperature))
     validate(cfg)
+    if getattr(args, "task", None) not in (None, *KINDS[cfg.model.kind][0]):
+        raise CliError(f"{path}: a {cfg.model.kind} checkpoint has no {args.task!r} task")
     return cfg
-
-
-COMMANDS = {
-    ("data", "validate"): cmd_data_validate,
-    ("data", "split"): cmd_data_split,
-    ("data", "stats"): cmd_data_stats,
-    ("data", "vocab"): cmd_data_vocab,
-    ("pretrain", None): cmd_pretrain,
-    ("train", None): cmd_train,
-    ("eval", None): cmd_eval,
-    ("generate", None): cmd_generate,
-    ("ablate", None): cmd_ablate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -485,12 +482,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.out_dir is not None:
             out_dir = args.out_dir
             _prepare_out(out_dir, cfg, run)
-        handler = COMMANDS[(args.command, getattr(args, "data_command", None))]
         # Every autodiff primitive checks its output for non-finite values
         # (``autodiff._finish``) and raises the error that names the fault, so
         # numpy's floating-point warnings would only print it once more, first.
         with np.errstate(all="ignore"):
-            return handler(args, cfg, run)
+            return args.handler(args, cfg, run)
     except (CliError, *USER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

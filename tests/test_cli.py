@@ -77,6 +77,17 @@ def overflowing(cfg_path, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def missing_array(trained, tmp_path_factory):
+    """The trained checkpoint with a valid header but without one array: a
+    command fails on it only once it reads the arrays."""
+    path = tmp_path_factory.mktemp("broken") / "broken.npz"
+    meta, arrays = checkpoint._read(trained["checkpoint"])
+    del arrays["def.W_d"]
+    checkpoint._write(path, meta, arrays)
+    return path
+
+
+@pytest.fixture(scope="module")
 def warm_start(cfg_path, tmp_path_factory):
     """A warm-start file of the initial decoder branch at the micro config."""
     out = tmp_path_factory.mktemp("pre")
@@ -488,7 +499,7 @@ class TestEvalAndGenerate:
             assert rec["word"] == "check"
             assert set(rec) >= {"context", "output", "task"}
 
-    @pytest.mark.parametrize("temperature", ["-1", "nan"])
+    @pytest.mark.parametrize("temperature", ["-1", "nan", "inf"])
     def test_generate_rejects_bad_temperature(self, trained, temperature, capsys):
         code = main(["generate", "--config", trained["cfg"],
                      "--checkpoint", trained["checkpoint"],
@@ -543,6 +554,50 @@ class TestEvalAndGenerate:
         assert code == 1
         err = capsys.readouterr().err
         assert trained["checkpoint"] in err and "single" in err and "usage" in err
+
+    # Refusals that the checkpoint's header and the flags show: (command,
+    # the refused input, a part of the message that names it)
+    GENERATE = ["generate", "--word", "check", "--context", "check the oil"]
+    HEADER_REFUSALS = {
+        "eval-override": (["eval"], ["--override", "model.d_w=9"], "model.d_w=9"),
+        "generate-override": (GENERATE, ["--override", "model.max_gen_len=2"],
+                              "model.max_gen_len=2"),
+        "temperature": (GENERATE, ["--temperature", "-1"], "--temperature"),
+        "task": (GENERATE, ["--task", "usage"], "a single checkpoint has no 'usage' task"),
+    }
+
+    @pytest.mark.parametrize("case", HEADER_REFUSALS)
+    def test_header_refusal_leaves_earlier_run_as_it_was(self, trained, tmp_path, capsys,
+                                                          case):
+        command, refused, named = self.HEADER_REFUSALS[case]
+        out = tmp_path / "run"
+        argv = command + ["--config", trained["cfg"], "--checkpoint", trained["checkpoint"],
+                          "--out-dir", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv + refused) == 1
+        assert named in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not (out / "FAILED").exists()
+
+    @pytest.mark.parametrize("case", HEADER_REFUSALS)
+    def test_header_refusal_reads_no_array(self, trained, missing_array, capsys, case):
+        command, refused, named = self.HEADER_REFUSALS[case]
+        assert main(command + ["--config", trained["cfg"], "--checkpoint",
+                               str(missing_array)] + refused) == 1
+        err = capsys.readouterr().err
+        assert named in err and "def.W_d" not in err
+
+    @pytest.mark.parametrize("word, context, named", [
+        ("check", "  ", "query: empty context"), (" ", "check the oil", "query: empty word")],
+        ids=["context", "word"])
+    def test_generate_refuses_blank_query_before_loading(self, missing_array, capsys,
+                                                         word, context, named):
+        assert main(["generate", "--checkpoint", str(missing_array), "--word", word,
+                     "--context", "check it", "--context", context]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "def.W_d" not in err
 
     def test_shape_fault_inside_a_command_is_internal(self, trained, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -641,17 +696,13 @@ class TestMalformedInputFiles:
         checkpoint._write(bad, meta, arrays)
         self.run(argv + [str(bad)], bad, capsys)
 
-    def test_checkpoint_missing_array(self, trained, tmp_path, capsys):
-        path = tmp_path / "broken.npz"
-        meta, arrays = checkpoint._read(trained["checkpoint"])
-        del arrays["def.W_d"]
-        checkpoint._write(path, meta, arrays)
-        self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(path)],
-                 path, capsys)
+    def test_checkpoint_missing_array(self, trained, missing_array, capsys):
+        self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(missing_array)],
+                 missing_array, capsys)
 
     def test_contextual_file_narrower_than_checkpoint(self, cfg_path, tmp_path, capsys):
-        # the file is read at the checkpoint's width, 8, whatever the command's
-        # model.d_e says, so a 4-wide file is a malformed vector file
+        # the file is read at the checkpoint's width, 8, so a 4-wide file is
+        # a malformed vector file
         entries, _ = load_corpus(resolve_data_path("", "mini_corpus.jsonl"))
         vec8, vec4, run = tmp_path / "vec8.txt", tmp_path / "vec4.txt", tmp_path / "run"
         vec8.write_text("".join(f"{e.entry_id}" + " 0.1" * 8 + "\n" for e in entries))
@@ -661,8 +712,7 @@ class TestMalformedInputFiles:
                      "--override", "train.max_epochs=1",
                      "--override", f"data.contextual_file={vec8}"]) == 0
         self.run(["eval", "--config", cfg_path, "--checkpoint", str(run / "model.npz"),
-                  "--override", f"data.contextual_file={vec4}",
-                  "--override", "model.d_e=4"], vec4, capsys)
+                  "--override", f"data.contextual_file={vec4}"], vec4, capsys)
 
     def test_eval_rejects_warm_start_file(self, trained, warm_start, capsys):
         self.run(["eval", "--config", trained["cfg"], "--checkpoint", str(warm_start)],
