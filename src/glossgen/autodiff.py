@@ -150,6 +150,11 @@ def _finish(op, inputs, out_array, backward_fn):
 # ---------------------------------------------------------------------------
 
 
+def _operand_grad(g2, operand, transposed):
+    """A 2-d view's gradient, mapped back to its operand's shape."""
+    return g2.T if transposed else g2.reshape(operand.shape)
+
+
 def matmul(a: Tensor, b: Tensor, transpose_a=False, transpose_b=False) -> Tensor:
     """Gemm-style product.
 
@@ -157,57 +162,39 @@ def matmul(a: Tensor, b: Tensor, transpose_a=False, transpose_b=False) -> Tensor
     operands only. After optional transposition the inner dimensions must
     agree: (m,k)@(k,n)->(m,n), (k,)@(k,n)->(n,), (m,k)@(k,)->(m,),
     (k,)@(k,)->() .
+
+    Each operand is read once as a 2-d view: a vector is one row on the
+    left or one column on the right, a transpose flag is ``.T``. The output
+    is that product with the vector axes dropped, and each gradient is the
+    view's, mapped back to its operand's shape.
     """
     A, B = a.data, b.data
     if A.ndim not in (1, 2) or B.ndim not in (1, 2):
         raise ShapeError(f"matmul: operands must be 1-d or 2-d, got {A.shape} and {B.shape}")
-    if transpose_a:
-        if A.ndim != 2:
-            raise ShapeError(f"matmul: transpose_a requires a 2-d left operand, got {A.shape}")
-        A = A.T
-    if transpose_b:
-        if B.ndim != 2:
-            raise ShapeError(f"matmul: transpose_b requires a 2-d right operand, got {B.shape}")
-        B = B.T
-    a_vec, b_vec = A.ndim == 1, B.ndim == 1
-    A2 = A[None, :] if a_vec else A
-    B2 = B[:, None] if b_vec else B
+    if transpose_a and A.ndim != 2:
+        raise ShapeError(f"matmul: transpose_a requires a 2-d left operand, got {A.shape}")
+    if transpose_b and B.ndim != 2:
+        raise ShapeError(f"matmul: transpose_b requires a 2-d right operand, got {B.shape}")
+    A2 = A.reshape(1, -1) if A.ndim == 1 else (A.T if transpose_a else A)
+    B2 = B.reshape(-1, 1) if B.ndim == 1 else (B.T if transpose_b else B)
     if A2.shape[1] != B2.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}")
-    out = A2 @ B2
-    if b_vec:
-        out = out[:, 0]
-    if a_vec:
-        out = out[0]
+        raise ShapeError(f"matmul: inner dimensions differ, {A.shape} vs {B.shape}")
+    out = (A2 @ B2).reshape(A2.shape[:A.ndim - 1] + B2.shape[1:B.ndim])
     # the rule is recorded only on an active tape; the dict, not the tape,
     # is held, so no node refers back to its tape
     deferred = _TAPE_STACK[-1].deferred if _TAPE_STACK else None
 
     def backward(g):
-        g2 = g
-        if a_vec:
-            g2 = g2[None, ...]
-        if b_vec:
-            g2 = g2[..., None]
+        g2 = g.reshape(A2.shape[0], B2.shape[1])
         if a.requires_grad:
-            ga = g2 @ B2.T
-            if a_vec:
-                ga = ga[0]
-            elif transpose_a:
-                ga = ga.T
-            _accumulate(a, ga)
-        if b.requires_grad and b.leaf and not b_vec:
+            _accumulate(a, _operand_grad(g2 @ B2.T, A, transpose_a))
+        if b.requires_grad and b.leaf and B.ndim == 2:
             # A.T @ g, or its transpose g.T @ A, is formed after the sweep
             _, xs, ys = deferred.setdefault(id(b), (b, [], []))
             xs.append(g2 if transpose_b else A2)
             ys.append(A2 if transpose_b else g2)
         elif b.requires_grad:
-            gb = A2.T @ g2
-            if b_vec:
-                gb = gb[:, 0]
-            elif transpose_b:
-                gb = gb.T
-            _accumulate(b, gb)
+            _accumulate(b, _operand_grad(A2.T @ g2, B, transpose_b))
 
     return _finish("matmul", (a, b), out, backward)
 
@@ -252,15 +239,12 @@ def concat(tensors, axis: int) -> Tensor:
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as exc:
         raise ShapeError(f"concat: {exc}") from None
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)], shared=True)
+                _accumulate(t, part, shared=True)
 
     return _finish("concat", tuple(tensors), out, backward)
 

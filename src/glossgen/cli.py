@@ -302,10 +302,8 @@ def cmd_eval(args, cfg, run) -> int:
 
 
 def cmd_generate(args, cfg, run) -> int:
-    entries = [make_query_entry(args.word, context, entry_id=f"query-{i}")
-               for i, context in enumerate(args.context)]
     model, _, _ = load_checkpoint(args.checkpoint, _contextual_file(cfg))
-    for entry in entries:
+    for entry in args.queries:
         with _checkpoint_numerics(args.checkpoint):
             tokens, meta = model.generate(entry, task=args.task,
                                           temperature=cfg.model.temperature,
@@ -439,7 +437,8 @@ def _resolve_config(args) -> Config:
     """The one config a run records, resolved and judged before the run
     writes or loads anything: the file's or the defaults, with a given
     checkpoint's model and vocabulary size, then the overrides, which may
-    not change what the checkpoint fixes, then the flags."""
+    not change what the checkpoint fixes, then the flags, with a
+    ``generate`` query built as ``args.queries`` (a blank one is refused)."""
     cfg = load_config_file(args.config) if args.config else default_config()
     path = getattr(args, "checkpoint", None)
     if path is not None:
@@ -468,6 +467,9 @@ def _resolve_config(args) -> Config:
     validate(cfg)
     if getattr(args, "task", None) not in (None, *KINDS[cfg.model.kind][0]):
         raise CliError(f"{path}: a {cfg.model.kind} checkpoint has no {args.task!r} task")
+    if getattr(args, "context", None) is not None:
+        args.queries = [make_query_entry(args.word, context, entry_id=f"query-{i}")
+                        for i, context in enumerate(args.context)]
     return cfg
 
 

@@ -24,9 +24,7 @@ class GruCell:
     With all-zero parameters and h = v this gives h_new = 0.5 v (z = 0.5,
     cand = 0), which pins the convention: the update gate scales the candidate.
 
-    A step is split in two: ``project`` computes the input halves x W + b,
-    ``advance`` adds h U and applies the gates. ``run`` projects a whole
-    sequence at once and advances through it.
+    ``run`` is the one runner, for a step or a sequence.
     """
 
     def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int,
@@ -46,46 +44,33 @@ class GruCell:
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def project(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """The input halves x W + b of the three gates, for every row of x."""
-        if x.shape[-1] != self.input_dim:
-            raise ShapeError(f"{self.prefix}: expected input dim {self.input_dim}, "
-                             f"got x {x.shape}")
-        p, pre = self._params, self.prefix
-        return tuple(add(matmul(x, p[f"{pre}.W_{gate}"]), p[f"{pre}.b_{gate}"])
-                     for gate in ("z", "r", "h"))
-
-    def advance(self, h_prev: Tensor, proj) -> Tensor:
-        """One recurrent step from projected inputs; only h U is computed here."""
-        if h_prev.shape[-1] != self.hidden_dim or proj[0].shape != h_prev.shape:
-            raise ShapeError(
-                f"{self.prefix}: expected hidden dim {self.hidden_dim} and matching "
-                f"rows, got h {h_prev.shape} and projected x {proj[0].shape}")
-        p, pre = self._params, self.prefix
-        xz, xr, xh = proj
-        z = sigmoid(add(xz, matmul(h_prev, p[f"{pre}.U_z"])))
-        r = sigmoid(add(xr, matmul(h_prev, p[f"{pre}.U_r"])))
-        cand = tanh(add(xh, matmul(mul(r, h_prev), p[f"{pre}.U_h"])))
-        return add(mul(one_minus(z), h_prev), mul(z, cand))
-
     def run(self, h0: Tensor, x: Tensor) -> Tensor:
         """Run forward over a whole sequence given as time-major rows of x
-        (row t*B + b is step t of sequence b, B = rows of h0). The inputs are
-        projected in one matmul per gate; returns the states in x's rows.
-        A one-step call is ``advance(h0, project(x))``, with no row slicing."""
+        (row t*B + b is step t of sequence b, B = rows of h0); returns the
+        states in x's rows. The input halves x W + b of the three gates are
+        formed in one matmul per gate over every row; each step adds only
+        h U and applies the gates. A one-step call slices and concatenates
+        nothing."""
         batch = h0.shape[0]
         steps = x.shape[0] // batch
-        if steps * batch != x.shape[0] or steps == 0:
-            raise ShapeError(f"{self.prefix}: {x.shape[0]} input rows do not split "
-                             f"into steps of {batch}")
-        proj = self.project(x)
-        if steps == 1:
-            return self.advance(h0, proj)
+        if (x.shape[1:] != (self.input_dim,) or h0.shape[1:] != (self.hidden_dim,)
+                or steps == 0 or steps * batch != x.shape[0]):
+            raise ShapeError(f"{self.prefix}: expected input dim {self.input_dim}, hidden "
+                             f"dim {self.hidden_dim} and input rows in whole steps of the "
+                             f"state's rows, got x {x.shape} and h {h0.shape}")
+        p, pre = self._params, self.prefix
+        proj = [add(matmul(x, p[f"{pre}.W_{gate}"]), p[f"{pre}.b_{gate}"])
+                for gate in ("z", "r", "h")]
         states, h = [], h0
         for t in range(steps):
-            h = self.advance(h, [slice_axis(p, 0, t * batch, (t + 1) * batch) for p in proj])
+            xz, xr, xh = proj if steps == 1 else [
+                slice_axis(q, 0, t * batch, (t + 1) * batch) for q in proj]
+            z = sigmoid(add(xz, matmul(h, p[f"{pre}.U_z"])))
+            r = sigmoid(add(xr, matmul(h, p[f"{pre}.U_r"])))
+            cand = tanh(add(xh, matmul(mul(r, h), p[f"{pre}.U_h"])))
+            h = add(mul(one_minus(z), h), mul(z, cand))
             states.append(h)
-        return concat(states, axis=0)
+        return h if steps == 1 else concat(states, axis=0)
 
     def zero_state(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.hidden_dim)))

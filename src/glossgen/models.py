@@ -224,17 +224,18 @@ class DefinitionModel:
     # -- decoding -----------------------------------------------------------
 
     def _teacher_arrays(self, seqs):
+        """(inputs, golds, mask), each (T steps, B sequences): time-major, so
+        their flat rows are in the order ``_decode`` reads."""
         pad, bos, eos = self.vocab.pad_id, self.vocab.bos_id, self.vocab.eos_id
-        b = len(seqs)
-        t_max = max(len(s) for s in seqs) + 1
-        inputs = np.full((b, t_max), pad, dtype=np.intp)
-        golds = np.full((b, t_max), pad, dtype=np.intp)
-        mask = np.zeros((b, t_max))
+        shape = (max(len(s) for s in seqs) + 1, len(seqs))
+        inputs = np.full(shape, pad, dtype=np.intp)
+        golds = np.full(shape, pad, dtype=np.intp)
+        mask = np.zeros(shape)
         for i, s in enumerate(seqs):
             n = len(s) + 1
-            inputs[i, :n] = [bos] + list(s)
-            golds[i, :n] = list(s) + [eos]
-            mask[i, :n] = 1.0
+            inputs[:n, i] = [bos] + list(s)
+            golds[:n, i] = list(s) + [eos]
+            mask[:n, i] = 1.0
         return inputs, golds, mask
 
     def _route(self, task: str):
@@ -274,9 +275,9 @@ class DefinitionModel:
     def _decode_loss(self, route, s0, features, seqs):
         """Teacher-forced NLL of ``seqs``: (token mean, total, token count)."""
         inputs, golds, mask = self._teacher_arrays(seqs)
-        _, logits = self._decode(route, (s0, s0), inputs.T.reshape(-1), features)
-        ce = cross_entropy_from_logits(logits, golds.T.reshape(-1))
-        total = sum_all(mul(ce, Tensor(mask.T.reshape(-1))))
+        _, logits = self._decode(route, (s0, s0), inputs.ravel(), features)
+        ce = cross_entropy_from_logits(logits, golds.ravel())
+        total = sum_all(mul(ce, Tensor(mask.ravel())))
         count = int(mask.sum())
         return scale(total, 1.0 / count), float(total.data), count
 

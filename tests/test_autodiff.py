@@ -442,6 +442,74 @@ class TestDeferredWeightProducts:
         assert close(W.grad, np.tanh(x0.data).T @ np.ones((3, 2)))
 
 
+# (stored shape of a, stored shape of b, transpose_a, transpose_b), m=2, k=3, n=4
+MATMUL_FORMS = {
+    "mk@kn": ((2, 3), (3, 4), False, False),
+    "km.T@kn": ((3, 2), (3, 4), True, False),
+    "mk@nk.T": ((2, 3), (4, 3), False, True),
+    "km.T@nk.T": ((3, 2), (4, 3), True, True),
+    "k@kn": ((3,), (3, 4), False, False),
+    "k@nk.T": ((3,), (4, 3), False, True),
+    "mk@k": ((2, 3), (3,), False, False),
+    "km.T@k": ((3, 2), (3,), True, False),
+    "k@k": ((3,), (3,), False, False),
+}
+
+
+class TestMatmulOperandForms:
+    """Every operand form of ``matmul`` gives, bit for bit, the products
+    numpy forms from explicit 2-d views: a vector is one row on the left or
+    one column on the right, a transpose flag is ``.T``. The right operand
+    is read both as a leaf (its product formed after the sweep) and as a
+    node's output (its product formed in the rule)."""
+
+    @staticmethod
+    def run(A, B, G, ta, tb, b_is_leaf):
+        """(value, gradient of a, gradient of b) with upstream gradient G."""
+        a, b0 = Tensor(A, requires_grad=True), Tensor(B, requires_grad=True)
+        handed = []
+        with Tape() as tape:
+            b = b0 if b_is_leaf else ad.scale(b0, 1.0)
+            out = ad.matmul(a, b, transpose_a=ta, transpose_b=tb)
+            # every upstream factor is an exact 1.0, so out's gradient is G
+            loss = sum_all(ad.mul(out, Tensor(G)))
+        if not b_is_leaf:
+            producer = tape.nodes[0]
+
+            def rule(g, _run=producer.backward_fn):
+                handed.append(g)
+                _run(g)
+            producer.backward_fn = rule
+        backward(tape, loss)
+        return out.data, a.grad, (b0.grad if b_is_leaf else handed[0])
+
+    @pytest.mark.parametrize("b_is_leaf", [True, False], ids=["leaf", "node"])
+    @pytest.mark.parametrize("form", MATMUL_FORMS)
+    def test_matches_products_of_2d_views(self, form, b_is_leaf):
+        a_shape, b_shape, ta, tb = MATMUL_FORMS[form]
+        rng = np.random.default_rng(43)
+        A, B = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        A2 = A.reshape(1, -1) if A.ndim == 1 else (A.T if ta else A)
+        B2 = B.reshape(-1, 1) if B.ndim == 1 else (B.T if tb else B)
+        out_shape = A2.shape[:A.ndim - 1] + B2.shape[1:B.ndim]
+        G = rng.normal(size=out_shape)
+        G2 = G.reshape(A2.shape[0], B2.shape[1])
+        expected_a = G2 @ B2.T
+        expected_a = expected_a.T if ta else expected_a.reshape(a_shape)
+        if b_is_leaf and B.ndim == 2:
+            expected_b = G2.T @ A2 if tb else A2.T @ G2
+        else:
+            expected_b = A2.T @ G2
+            expected_b = expected_b.T if tb else expected_b.reshape(b_shape)
+        value, grad_a, grad_b = self.run(A, B, G, ta, tb, b_is_leaf)
+        assert value.shape == out_shape
+        assert np.array_equal(value, (A2 @ B2).reshape(out_shape))
+        for grad, expected, shape in ((grad_a, expected_a, a_shape),
+                                      (grad_b, expected_b, b_shape)):
+            assert grad.shape == shape and grad.flags.c_contiguous
+            assert np.array_equal(grad, expected)
+
+
 class TestGradCheck:
     TOL = 1e-6
 

@@ -63,3 +63,25 @@ def test_observers_read_the_library(monkeypatch, tmp_path):
     for key in ("steps", "tape_nodes", "gen_calls", "samples", "decoder_positions",
                 "save_bytes"):
         assert tracer.counts[key] > 0, key
+
+
+def test_pad_counts_are_exact(monkeypatch):
+    """One teacher-forced batch: each task pads every sequence to the
+    longest plus its end marker, and scores each sequence's own tokens and
+    its end marker."""
+    hooks = load_hooks(monkeypatch)
+    entries, _ = data.load_corpus(asset_path("mini_corpus.jsonl"))
+    batch = entries[:5]
+    cfg = micro_config("hier-du")
+    model = DefinitionModel(cfg.model, data.model_vocab(entries, cfg.data.vocab_size), seed=0)
+    lengths = [[len(e.definition) for e in batch], [len(e.usage) for e in batch]]
+    assert all(len(set(task)) > 1 for task in lengths)  # each task pads
+    tracer = hooks.Tracer()
+    tracer.install()
+    try:
+        model.forward_batch(batch)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["decoder_positions"] == sum(len(task) * (max(task) + 1)
+                                                     for task in lengths)
+    assert tracer.counts["decoder_scored"] == sum(n + 1 for task in lengths for n in task)

@@ -564,6 +564,8 @@ class TestEvalAndGenerate:
                               "model.max_gen_len=2"),
         "temperature": (GENERATE, ["--temperature", "-1"], "--temperature"),
         "task": (GENERATE, ["--task", "usage"], "a single checkpoint has no 'usage' task"),
+        "blank-context": (GENERATE, ["--context", "  "], "query: empty context"),
+        "blank-word": (GENERATE, ["--word", " "], "query: empty word"),
     }
 
     @pytest.mark.parametrize("case", HEADER_REFUSALS)

@@ -52,6 +52,7 @@ def test_fast_demo_runs(demo):
     src = str(Path(glossgen.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, str(demo)], env=env,
-                            capture_output=True, text=True, timeout=300)
+    # the suite's own warning policy (pyproject.toml's filterwarnings)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
