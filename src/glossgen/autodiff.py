@@ -136,7 +136,7 @@ def _scatter_target(t: Tensor) -> np.ndarray:
 
 def _finish(op, inputs, out_array, backward_fn):
     """Wrap a primitive's result, check finiteness, record on the active tape."""
-    if not np.all(np.isfinite(out_array)):
+    if not np.isfinite(out_array).all():
         raise NumericalError(f"{op}: non-finite values in output")
     out = Tensor._wrap(out_array)
     if _TAPE_STACK and any(t.requires_grad for t in inputs):
@@ -439,12 +439,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Composites (built from primitives only, no new backward rules)
 # ---------------------------------------------------------------------------
-
-
-def one_minus(x: Tensor) -> Tensor:
-    """1 - x, elementwise."""
-    ones = Tensor._wrap(np.ones_like(x.data))
-    return add(scale(x, -1.0), ones)
 
 
 def sum_all(x: Tensor) -> Tensor:

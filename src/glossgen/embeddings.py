@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, conv1d, embedding_lookup, matmul, max_over_axis, mul, one_minus, sigmoid, slice_axis, tanh
+from .autodiff import Tensor, add, concat, conv1d, embedding_lookup, matmul, max_over_axis, mul, scale, sigmoid, slice_axis, tanh
 from .data import SPECIALS, stable_seed
 
 CHAR_EMB_DIM = 20
@@ -96,7 +96,8 @@ class CharEncoder:
     """Char-CNN word features: widths 2..6, tanh, max-over-time, 2 highway layers.
 
     Output is one 160-wide row per word, deterministic per word given the
-    parameters.
+    parameters. Each highway layer reads t = sigma(x W_T + b_T) and
+    g = tanh(x W_H + b_H) and gives x + t * (g - x).
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -151,7 +152,7 @@ class CharEncoder:
         for layer in range(HIGHWAY_LAYERS):
             t = sigmoid(add(matmul(x, p[f"char.hw{layer}.W_T"]), p[f"char.hw{layer}.b_T"]))
             g = tanh(add(matmul(x, p[f"char.hw{layer}.W_H"]), p[f"char.hw{layer}.b_H"]))
-            x = add(mul(t, g), mul(one_minus(t), x))
+            x = add(x, mul(t, add(g, scale(x, -1.0))))
         return x
 
 

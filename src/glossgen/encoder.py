@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, concat, embedding_lookup, matmul, max_over_axis, mul, one_minus, scale, sigmoid, slice_axis, softmax, tanh
+from .autodiff import ShapeError, Tensor, add, concat, embedding_lookup, matmul, max_over_axis, mul, scale, sigmoid, slice_axis, softmax, tanh
 from .embeddings import glorot
 
 
@@ -19,7 +19,7 @@ class GruCell:
     z = sigma(x W_z + h U_z + b_z)
     r = sigma(x W_r + h U_r + b_r)
     cand = tanh(x W_h + (r * h) U_h + b_h)
-    h_new = (1 - z) * h + z * cand
+    h_new = h + z * (cand - h)
 
     With all-zero parameters and h = v this gives h_new = 0.5 v (z = 0.5,
     cand = 0), which pins the convention: the update gate scales the candidate.
@@ -68,7 +68,7 @@ class GruCell:
             z = sigmoid(add(xz, matmul(h, p[f"{pre}.U_z"])))
             r = sigmoid(add(xr, matmul(h, p[f"{pre}.U_r"])))
             cand = tanh(add(xh, matmul(mul(r, h), p[f"{pre}.U_h"])))
-            h = add(mul(one_minus(z), h), mul(z, cand))
+            h = add(h, mul(z, add(cand, scale(h, -1.0))))
             states.append(h)
         return h if steps == 1 else concat(states, axis=0)
 

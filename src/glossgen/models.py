@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, mul, scale, sum_all
+from .autodiff import ShapeError, Tensor, add, concat, cross_entropy_from_logits, embedding_lookup, matmul, scale
 from .config import KINDS, ConfigError, ModelConfig
 from .data import SPECIALS, Vocabulary
 from .decoder import DecoderEmbedding, DecoderStack, InitStateProjector, sample_sequence
@@ -277,7 +277,7 @@ class DefinitionModel:
         inputs, golds, mask = self._teacher_arrays(seqs)
         _, logits = self._decode(route, (s0, s0), inputs.ravel(), features)
         ce = cross_entropy_from_logits(logits, golds.ravel())
-        total = sum_all(mul(ce, Tensor(mask.ravel())))
+        total = matmul(ce, Tensor(mask.ravel()))
         count = int(mask.sum())
         return scale(total, 1.0 / count), float(total.data), count
 

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -837,3 +838,26 @@ def test_no_module_loads_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_primitive_set():
+    # Every taped op is one of the 13 primitives acceptance criterion 1
+    # grad-checks, each recorded by one _finish call; composites add no op.
+    package = Path(glossgen.__file__).parent
+    tree = ast.parse((package / "autodiff.py").read_text(encoding="utf-8"))
+    ops = [getattr(node.args[0], "value", None) for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id == "_finish"]
+    assert sorted(ops) == sorted([
+        "matmul", "add", "concat", "elementwise-mul", "sigmoid", "tanh", "softmax",
+        "max-over-axis", "embedding-lookup", "conv1d", "cross-entropy-from-logits",
+        "scale", "slice"])
+    # a gated update is h + z * (cand - h): no module defines or imports one_minus
+    assert not hasattr(ad, "one_minus")
+    named = [(path.name, node.lineno)
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "one_minus" for alias in node.names))
+             or (isinstance(node, ast.FunctionDef) and node.name == "one_minus")]
+    assert named == []

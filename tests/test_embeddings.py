@@ -173,13 +173,14 @@ class TestCharEncoder:
 
     def test_grad_check_small(self):
         enc = E.CharEncoder(np.random.default_rng(4))
-        kernel = enc._params["char.conv2.kernel"]
+        point = [enc._params[name] for name in (
+            "char.conv2.kernel", "char.hw0.W_T", "char.hw0.b_H", "char.hw1.W_H", "char.hw1.b_T")]
 
-        def f(kernel):
+        def f(*params):
             out = enc.encode(["dog"])
             return sum_all(mul(out, out))
 
-        assert grad_check(f, [kernel], coord_limit=20, seed=0) < 1e-6
+        assert grad_check(f, point, coord_limit=20, seed=0) < 1e-6
 
 
 class TestContextualProvider:

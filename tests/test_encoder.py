@@ -67,7 +67,9 @@ class TestGruCell:
         z = 1.0 / (1.0 + np.exp(-gate("z", h.data)))
         r = 1.0 / (1.0 + np.exp(-gate("r", h.data)))
         cand = np.tanh(gate("h", r * h.data))
-        assert np.array_equal(out.data, (1.0 - z) * h.data + z * cand)
+        assert np.array_equal(out.data, h.data + z * (cand - h.data))
+        # the textbook form: the update gate scales the candidate
+        np.testing.assert_allclose(out.data, (1.0 - z) * h.data + z * cand, rtol=0, atol=1e-15)
         ops = [node.op for node in tape.nodes]
         assert ops and "slice" not in ops and "concat" not in ops
 

@@ -4,7 +4,7 @@ import pytest
 from glossgen import embeddings, encoder
 from glossgen.autodiff import (AdamState, ShapeError, Tape, Tensor, adam_step, add, backward, concat,
                                conv1d, embedding_lookup, grad_check, matmul, max_over_axis, mul,
-                               one_minus, scale, sigmoid, slice_axis, softmax, tanh, zero_grads)
+                               scale, sigmoid, slice_axis, softmax, tanh, zero_grads)
 from glossgen.config import KINDS, ModelConfig
 from glossgen.data import DictionaryEntry, Vocabulary
 from glossgen.embeddings import CHAR_IDS, CONV_WIDTHS, HIGHWAY_LAYERS, UNK_CHAR_ID
@@ -82,7 +82,7 @@ def per_entry_char_features(chars, word):
     for layer in range(HIGHWAY_LAYERS):
         t = sigmoid(add(matmul(x, p[f"char.hw{layer}.W_T"]), p[f"char.hw{layer}.b_T"]))
         g = tanh(add(matmul(x, p[f"char.hw{layer}.W_H"]), p[f"char.hw{layer}.b_H"]))
-        x = add(mul(t, g), mul(one_minus(t), x))
+        x = add(x, mul(t, add(g, scale(x, -1.0))))
     return x
 
 

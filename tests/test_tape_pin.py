@@ -36,31 +36,31 @@ ENTRIES = [
 PINNED = {
     "single": (
         {"add": 109, "concat": 16, "conv1d": 5, "cross-entropy-from-logits": 1,
-         "elementwise-mul": 55, "embedding-lookup": 6, "matmul": 74,
-         "max-over-axis": 12, "scale": 20, "sigmoid": 35, "slice": 60, "softmax": 1,
+         "elementwise-mul": 36, "embedding-lookup": 6, "matmul": 74,
+         "max-over-axis": 12, "scale": 17, "sigmoid": 35, "slice": 60, "softmax": 1,
          "tanh": 23},
         2.510736984501566, 0.8400259974690731),
     "parallel": (
         {"add": 178, "concat": 21, "conv1d": 5, "cross-entropy-from-logits": 2,
-         "elementwise-mul": 94, "embedding-lookup": 7, "matmul": 119,
-         "max-over-axis": 12, "scale": 33, "sigmoid": 60, "slice": 96, "softmax": 1,
+         "elementwise-mul": 62, "embedding-lookup": 7, "matmul": 119,
+         "max-over-axis": 12, "scale": 29, "sigmoid": 60, "slice": 96, "softmax": 1,
          "tanh": 35},
         4.984729642398024, 1.4054293146339396),
     "hier-du": (
         {"add": 244, "concat": 24, "conv1d": 5, "cross-entropy-from-logits": 2,
-         "elementwise-mul": 130, "embedding-lookup": 7, "matmul": 162,
-         "max-over-axis": 12, "scale": 45, "sigmoid": 84, "slice": 132, "softmax": 1,
+         "elementwise-mul": 86, "embedding-lookup": 7, "matmul": 162,
+         "max-over-axis": 12, "scale": 40, "sigmoid": 84, "slice": 132, "softmax": 1,
          "tanh": 47},
         4.966689106472574, 1.4494798366750745),
     "hier-ud": (
         {"add": 224, "concat": 24, "conv1d": 5, "cross-entropy-from-logits": 2,
-         "elementwise-mul": 118, "embedding-lookup": 7, "matmul": 150,
-         "max-over-axis": 12, "scale": 41, "sigmoid": 76, "slice": 120, "softmax": 1,
+         "elementwise-mul": 78, "embedding-lookup": 7, "matmul": 150,
+         "max-over-axis": 12, "scale": 36, "sigmoid": 76, "slice": 120, "softmax": 1,
          "tanh": 43},
         4.9667050578043135, 1.41138437614936),
     "lm_loss": (
         {"add": 48, "concat": 3, "cross-entropy-from-logits": 1,
-         "elementwise-mul": 27, "embedding-lookup": 1, "matmul": 33, "scale": 9,
+         "elementwise-mul": 18, "embedding-lookup": 1, "matmul": 33, "scale": 7,
          "sigmoid": 17, "slice": 24, "tanh": 8},
         2.486108994755765, 0.4629195400911051),
 }
