@@ -47,9 +47,9 @@ def _write(path, meta: dict, arrays: dict) -> None:
 
 
 def _read(path, kind: str | None = None, with_arrays: bool = True) -> tuple[dict, dict]:
-    """(header, arrays) of a ``_write`` file of header "kind" ``kind`` (None
-    for a checkpoint), arrays empty unless ``with_arrays``. The file comes from
-    outside: whatever fails while opening or parsing it is a CheckpointError."""
+    """(header, arrays) of a ``_write`` file of header "kind" ``kind`` (None for
+    a checkpoint) holding that kind's ``HEADER_FIELDS``, arrays empty unless
+    ``with_arrays``. The file comes from outside: any fault is a CheckpointError."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data[META_KEY])) if META_KEY in data else None
@@ -65,12 +65,14 @@ def _read(path, kind: str | None = None, with_arrays: bool = True) -> tuple[dict
     if meta.get("kind") != kind:
         raise CheckpointError(f"{path}: not a {kind or 'checkpoint'} file "
                               f"(header kind {meta.get('kind')!r})")
+    _check_fields(path, meta, HEADER_FIELDS[kind])
     return meta, arrays
 
 
-# header field -> type, for every field ``load_checkpoint`` reads
-HEADER_FIELDS = {"config": dict, "vocab_tokens": list, "vocab_fingerprint": str,
-                 "seed": int, "contextual_kind": str, "contextual_seed": int}
+# header kind -> field -> type, for every field read from a file of that kind
+HEADER_FIELDS = {None: {"config": dict, "vocab_tokens": list, "vocab_fingerprint": str,
+                        "seed": int, "contextual_kind": str, "contextual_seed": int},
+                 WARM_START: {"vocab_fingerprint": str}}
 
 
 def _check_fields(path, meta: dict, fields: dict) -> None:
@@ -85,10 +87,10 @@ def _check_fields(path, meta: dict, fields: dict) -> None:
             raise CheckpointError(f"{path}: header field {key!r} is negative")
 
 
-def _checked_header(path, meta: dict) -> Config:
-    """Check a checkpoint header before anything is built from it; returns
-    its validated config. Any fault is a CheckpointError naming the path."""
-    _check_fields(path, meta, HEADER_FIELDS)
+def _checked_header(path, meta: dict, contextual_file) -> tuple[Config, Vocabulary]:
+    """Check a checkpoint header, and the vector file a run gives, before
+    anything is built from them; returns the validated config and vocabulary.
+    Any fault is a CheckpointError naming the path."""
     tokens = meta["vocab_tokens"]
     if not all(isinstance(t, str) for t in tokens):
         raise CheckpointError(f"{path}: header field 'vocab_tokens' holds a non-string")
@@ -102,12 +104,32 @@ def _checked_header(path, meta: dict) -> Config:
     if cfg.model.char_on and meta.get("char_vocab") != CHARS:
         raise CheckpointError(f"{path}: header field 'char_vocab' is not this "
                               "program's character inventory")
-    return cfg
+    vocab = Vocabulary(tokens[len(SPECIALS):])
+    if vocab.fingerprint() != meta["vocab_fingerprint"]:
+        raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
+    if cfg.model.contextual_on:
+        stored = meta["contextual_kind"]
+        if contextual_file is not None:
+            if stored != "file-backed":
+                raise CheckpointError(f"{path}: run used a {stored} contextual provider, "
+                                      "not the file-backed one supplied")
+        elif stored != "deterministic-test":
+            raise CheckpointError(
+                f"{path}: run used a {stored} contextual provider; supply it to load")
+        elif meta["contextual_seed"] != meta["seed"]:
+            raise CheckpointError(f"{path}: header field 'contextual_seed' is not 'seed', "
+                                  "which seeds the model's contextual features")
+    try:
+        check_fits_memory(cfg.model, len(vocab), training=False)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return cfg, vocab
 
 
-def read_config(path) -> Config:
-    """The checked config in a checkpoint's header; its arrays are not read."""
-    return _checked_header(path, _read(path, with_arrays=False)[0])
+def read_config(path, contextual_file: str | os.PathLike | None = None) -> Config:
+    """The config in a checkpoint's header, judged as ``load_checkpoint(path,
+    contextual_file)`` judges it, with the same messages; no array is read."""
+    return _checked_header(path, _read(path, with_arrays=False)[0], contextual_file)[0]
 
 
 def save_checkpoint(path, model, cfg: Config, extra_meta: dict | None = None) -> None:
@@ -129,35 +151,17 @@ def load_checkpoint(path, contextual_file: str | os.PathLike | None = None):
     """Rebuild the model from a checkpoint. Returns (model, cfg, meta).
 
     File-backed contextual vectors are not stored: when the stored model
-    reads them, the caller gives the vector file's path. Arrays that do not
-    fit the stored config, a provider of another kind than the run's or a
-    deterministic one seeded apart from the model (when the model reads it),
-    and a model too large for memory are a CheckpointError naming the path.
+    reads them, the caller gives the vector file's path. The header is judged
+    as ``read_config`` judges it; arrays that do not fit the stored config are
+    then a CheckpointError naming the path.
     """
     meta, arrays = _read(path)
-    cfg = _checked_header(path, meta)
-    tokens = meta["vocab_tokens"]
-    vocab = Vocabulary(tokens[len(SPECIALS):])
-    if vocab.fingerprint() != meta["vocab_fingerprint"]:
-        raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
-    if cfg.model.contextual_on:
-        stored = meta["contextual_kind"]
-        if contextual_file is not None:
-            if stored != "file-backed":
-                raise CheckpointError(f"{path}: run used a {stored} contextual provider, "
-                                      "not the file-backed one supplied")
-        elif stored != "deterministic-test":
-            raise CheckpointError(
-                f"{path}: run used a {stored} contextual provider; supply it to load")
-        elif meta["contextual_seed"] != meta["seed"]:
-            raise CheckpointError(f"{path}: header field 'contextual_seed' is not 'seed', "
-                                  "which seeds the model's contextual features")
+    cfg, vocab = _checked_header(path, meta, contextual_file)
     try:
-        check_fits_memory(cfg.model, len(vocab), training=False)
         model = DefinitionModel(cfg.model, vocab, seed=meta["seed"],
                                 contextual_file=contextual_file)
         model.load_state_arrays(arrays)
-    except (ConfigError, ShapeError) as exc:
+    except ShapeError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return model, cfg, meta
 
@@ -174,10 +178,14 @@ def save_pretrained(path, model, extra_meta: dict | None = None) -> None:
     _write(path, meta, {name: t.data for name, t in model.pretrainable_params().items()})
 
 
+def read_warm_start(path) -> dict:
+    """The checked header of a warm-start file; its arrays are not read."""
+    return _read(path, WARM_START, with_arrays=False)[0]
+
+
 def load_pretrained(path, model) -> list[str]:
     """Copy pretrained decoder arrays into a model; returns the copied names."""
     meta, arrays = _read(path, WARM_START)
-    _check_fields(path, meta, {"vocab_fingerprint": str})
     if meta["vocab_fingerprint"] != model.vocab.fingerprint():
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
     try:

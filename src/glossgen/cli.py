@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import NumericalError
-from .checkpoint import CheckpointError, load_checkpoint, load_pretrained, read_config
+from .checkpoint import CheckpointError, load_checkpoint, load_pretrained, read_config, read_warm_start
 from .config import (KINDS, S0_VARIANTS, Config, ConfigError, apply_overrides,
                      config_digest, config_to_text, default_config,
                      load_config_file, set_key, validate)
@@ -438,11 +438,13 @@ def _resolve_config(args) -> Config:
     writes or loads anything: the file's or the defaults, with a given
     checkpoint's model and vocabulary size, then the overrides, which may
     not change what the checkpoint fixes, then the flags, with a
-    ``generate`` query built as ``args.queries`` (a blank one is refused)."""
+    ``generate`` query built as ``args.queries`` (a blank one is refused).
+    A checkpoint's header is judged as loading it will judge it, with the
+    vector file the overrides name; so is a ``--pretrained`` file's header."""
     cfg = load_config_file(args.config) if args.config else default_config()
     path = getattr(args, "checkpoint", None)
     if path is not None:
-        stored = read_config(path)
+        stored = read_config(path, _contextual_file(apply_overrides(cfg, args.override)))
         cfg = replace(cfg, model=stored.model,
                       data=replace(cfg.data, vocab_size=stored.data.vocab_size))
     cfg = apply_overrides(cfg, args.override)
@@ -459,6 +461,8 @@ def _resolve_config(args) -> Config:
         cfg = set_key(cfg, "train.seed", str(args.seed))
     if getattr(args, "epochs", None) is not None:
         cfg = set_key(cfg, "train.max_epochs", str(args.epochs))
+    if getattr(args, "pretrained", None):
+        read_warm_start(args.pretrained)
     if getattr(args, "temperature", None) is not None:
         if not 0 < args.temperature < math.inf:
             raise CliError(f"--temperature must be positive and finite, "

@@ -88,7 +88,7 @@ def _coerce(raw: str, current):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
+        raise ValueError(f"expected a boolean, got {raw!r}")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -98,22 +98,25 @@ def _coerce(raw: str, current):
     return raw.strip()
 
 
-def set_key(cfg: Config, key: str, raw: str) -> Config:
-    """Apply one "section.field" assignment, returning an updated config."""
-    if "." not in key:
-        raise ConfigError(f"config key {key!r} must look like section.field")
-    section_name, field_name = key.split(".", 1)
-    section = getattr(cfg, section_name, None)
-    if section is None:
-        raise ConfigError(f"unknown config section {section_name!r}")
-    names = {f.name for f in fields(section)}
-    if field_name not in names:
+def _set(cfg: Config, key: str, value, convert) -> Config:
+    """``cfg`` with the field ``key`` ("section.field") set to ``convert(value,
+    current value)``. An unknown key, and a value ``convert`` refuses with a
+    ValueError, are a ConfigError that names the key."""
+    if key not in {f"{s.name}.{f.name}" for s in fields(Config)
+                   for f in fields(getattr(cfg, s.name))}:
         raise ConfigError(f"unknown config key {key!r}")
+    section_name, field_name = key.split(".")
+    section = getattr(cfg, section_name)
     try:
-        value = _coerce(raw, getattr(section, field_name))
+        value = convert(value, getattr(section, field_name))
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
     return replace(cfg, **{section_name: replace(section, **{field_name: value})})
+
+
+def set_key(cfg: Config, key: str, raw: str) -> Config:
+    """Apply one "section.field" assignment, returning an updated config."""
+    return _set(cfg, key, raw, _coerce)
 
 
 def load_config_file(path) -> Config:
@@ -123,20 +126,18 @@ def load_config_file(path) -> Config:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, raw = (part.strip() for part in text.split("=", 1))
             try:
-                cfg = set_key(cfg, key, raw)
+                cfg = apply_overrides(cfg, [text])
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{line_no}: {exc}") from None
     return cfg
 
 
 def apply_overrides(cfg: Config, overrides) -> Config:
+    """Apply "key = value" items (``--override`` flags, config-file lines) in order."""
     for item in overrides or ():
         if "=" not in item:
-            raise ConfigError(f"override {item!r} must look like key=value")
+            raise ConfigError(f"expected key = value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         cfg = set_key(cfg, key, raw)
     return cfg
@@ -180,7 +181,7 @@ def validate(cfg: Config) -> None:
             f"data.split_ratios {d.split_ratios} must be non-negative and sum to 1")
 
 
-def _typed(key: str, value, current):
+def _typed(value, current):
     """A value read back from JSON, checked against the type of ``current``."""
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -196,7 +197,7 @@ def _typed(key: str, value, current):
     else:
         ok = isinstance(value, str)
     if not ok:
-        raise ConfigError(f"{key}: expected {type(current).__name__}, got {value!r}")
+        raise ValueError(f"expected {type(current).__name__}, got {value!r}")
     return tuple(value) if isinstance(current, tuple) else value
 
 
@@ -208,23 +209,16 @@ def config_from_dict(payload) -> Config:
     """
     if not isinstance(payload, dict):
         raise ConfigError("config must be an object")
-    default = default_config()
-    sections = {}
+    cfg = default_config()
     for section in fields(Config):
         values = payload.get(section.name)
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section.name!r} missing or not an object")
-        values = dict(values)
-        if section.name == "data":
-            values.pop("stopwords", None)  # unread field that older checkpoints still carry
-        base = getattr(default, section.name)
-        known = {f.name for f in fields(base)}
         for key, value in values.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {section.name}.{key!r}")
-            values[key] = _typed(f"{section.name}.{key}", value, getattr(base, key))
-        sections[section.name] = replace(base, **values)
-    return Config(**sections)
+            # "data.stopwords": an unread field that older checkpoints still carry
+            if f"{section.name}.{key}" != "data.stopwords":
+                cfg = _set(cfg, f"{section.name}.{key}", value, _typed)
+    return cfg
 
 
 def config_to_text(cfg: Config) -> str:

@@ -26,6 +26,10 @@ from glossgen.autodiff import (
 )
 
 
+def ones(*shape):
+    return Tensor(np.ones(shape))
+
+
 def rand_param(rng, shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
 
@@ -672,6 +676,31 @@ class TestShapeAndNumericalErrors:
     def test_slice_bad_range(self):
         with pytest.raises(ShapeError, match="slice"):
             ad.slice_axis(Tensor(np.ones((2, 3))), axis=1, start=2, stop=2)
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: ad.matmul(ones(2, 2, 2), ones(2)), "operands must be 1-d or 2-d"),
+        (lambda: ad.matmul(ones(3), ones(3, 2), transpose_a=True), "transpose_a requires"),
+        (lambda: ad.matmul(ones(2, 3), ones(3), transpose_b=True), "transpose_b requires"),
+        (lambda: ad.concat([], axis=0), "needs at least one tensor"),
+        (lambda: ad.concat([ones(2, 3), ones(3)], axis=0), "rank mismatch"),
+        (lambda: ad.max_over_axis(ones(), axis=0), "needs at least 1-d input"),
+        (lambda: ad.embedding_lookup(ones(4), [0]), "table must be 2-d"),
+        (lambda: ad.embedding_lookup(ones(4, 2), [[0]]), "ids must be 1-d"),
+        (lambda: ad.conv1d(ones(4), ones(2, 4, 1)), r"expected \(L,Cin\) and \(w,Cin,Cout\)"),
+        (lambda: ad.conv1d(ones(4, 3), ones(2, 2, 1)), "channel mismatch"),
+        (lambda: ad.cross_entropy_from_logits(ones(3), [0]), "logits must be 2-d"),
+        (lambda: ad.cross_entropy_from_logits(ones(2, 3), [0]), "does not match"),
+        (lambda: ad.cross_entropy_from_logits(ones(2, 3), [0, 3]), "out of range"),
+        (lambda: ad.slice_axis(ones(2, 3), axis=2, start=0, stop=1), "axis 2 invalid"),
+        (lambda: sum_all(ones(2, 2, 2)), "rank 3 not supported"),
+        (lambda: ones(2).item(), "2 elements, expected 1"),
+    ], ids=["matmul-rank", "matmul-transpose-a", "matmul-transpose-b", "concat-none",
+            "concat-ranks", "max-0d", "lookup-table", "lookup-ids", "conv1d-shapes",
+            "conv1d-channels", "ce-logits", "ce-targets", "ce-range", "slice-axis",
+            "sum-all-rank-3", "item"])
+    def test_shape_refusal(self, call, named):
+        with pytest.raises(ShapeError, match=named):
+            call()
 
     def test_nonfinite_output_raises(self):
         big = Tensor([[1e300]])

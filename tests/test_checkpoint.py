@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from dataclasses import asdict
 
@@ -8,7 +9,8 @@ import pytest
 from glossgen.checkpoint import (FORMAT_VERSION, META_KEY, CheckpointError,
                                  load_checkpoint, load_pretrained, read_config,
                                  save_checkpoint, save_pretrained)
-from glossgen.config import Config, DataConfig, ModelConfig, TrainConfig
+from glossgen.config import (Config, ConfigError, DataConfig, ModelConfig, TrainConfig,
+                             config_from_dict)
 from glossgen.data import DictionaryEntry, Vocabulary
 from glossgen.embeddings import CHARS
 from glossgen.models import DefinitionModel
@@ -55,6 +57,18 @@ def _tamper(path, new_path, **meta_changes):
     meta.update(meta_changes)
     with open(new_path, "wb") as fh:
         np.savez(fh, **{META_KEY: np.array(json.dumps(meta))}, **arrays)
+
+
+def refusal(path, *args) -> str:
+    """The message with which both ``load_checkpoint`` and ``read_config``
+    refuse ``path``: the two judge a header alike."""
+    messages = []
+    for read in (load_checkpoint, read_config):
+        with pytest.raises(CheckpointError) as info:
+            read(path, *args)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    return messages[0]
 
 
 class TestRoundTrip:
@@ -149,8 +163,7 @@ class TestGuards:
         path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
         save_checkpoint(path, model, full_cfg())
         _tamper(path, bad, vocab_fingerprint="0" * 64)
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            load_checkpoint(bad)
+        assert refusal(bad) == f"{bad}: vocabulary fingerprint mismatch"
 
     def test_future_format_version_rejected(self, tmp_path):
         model = build()
@@ -167,11 +180,11 @@ class TestGuards:
         path = tmp_path / "m.npz"
         save_checkpoint(path, model, cfg)
         vectors = write_vectors(tmp_path / "ctx.txt")
-        with pytest.raises(CheckpointError, match="deterministic-test.*file-backed"):
-            load_checkpoint(path, vectors)
+        assert re.search("deterministic-test.*file-backed", refusal(path, vectors))
         # a model that does not read the features loads with any provider
         save_checkpoint(path, build(), full_cfg())
         load_checkpoint(path, vectors)
+        read_config(path, vectors)
 
     def test_file_backed_header_loads_without_file_when_unread(self, tmp_path):
         # a model reading no contextual feature loads, and runs the same,
@@ -190,8 +203,7 @@ class TestGuards:
         cfg = full_cfg(contextual_on=True)
         model = DefinitionModel(cfg.model, Vocabulary(WORDS), seed=0, contextual_file=vectors)
         save_checkpoint(path, model, cfg)
-        with pytest.raises(CheckpointError, match="file-backed contextual provider; supply"):
-            load_checkpoint(path)
+        assert "file-backed contextual provider; supply" in refusal(path)
 
     def test_vector_file_read_at_stored_width_when_read(self, tmp_path):
         # a vector file's path is read at the stored d_e, only by a model reading it
@@ -215,11 +227,10 @@ class TestGuards:
         save_checkpoint(path, build(seed=2, contextual_on=contextual_on), cfg)
         _tamper(path, bad, contextual_seed=7)
         if contextual_on:
-            with pytest.raises(CheckpointError,
-                               match=f"^{re.escape(str(bad))}: .*'contextual_seed'"):
-                load_checkpoint(bad)
+            assert re.match(f"{re.escape(str(bad))}: .*'contextual_seed'", refusal(bad))
         else:
             assert load_checkpoint(bad)[0].seed == 2
+            assert read_config(bad) == cfg
 
     def test_repeated_vocab_token_names_path(self, tmp_path):
         path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
@@ -245,6 +256,38 @@ class TestGuards:
         save_checkpoint(path, build(), full_cfg())
         _tamper(path, bad, char_vocab=char_vocab)
         load_checkpoint(bad)
+
+    def test_model_too_large_to_load(self, tmp_path, monkeypatch):
+        # loading holds two copies of every array: the file's and the model's
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, build(), full_cfg())
+        real = os.sysconf
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+        assert re.match(f"{re.escape(str(path))}: the model needs [0-9]+ bytes to load, "
+                        "more than this machine's 1000 bytes", refusal(path))
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m["config"].pop("train"), "config section 'train' missing"),
+        (lambda m: m["config"].update(model=5), "config section 'model' missing"),
+        (lambda m: m["config"]["model"].update(d_z=8), "unknown config key 'model.d_z'"),
+        (lambda m: m["config"]["model"].update(char_on="yes"),
+         "model.char_on: expected bool, got 'yes'"),
+        (lambda m: m.update(seed=-1), "header field 'seed' is negative"),
+    ], ids=["no-section", "section", "key", "value", "negative"])
+    def test_malformed_stored_config(self, tmp_path, edit, named):
+        path, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+        save_checkpoint(path, build(), full_cfg())
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data[META_KEY]))
+        edit(meta)
+        _tamper(path, bad, **meta)
+        assert str(bad) in refusal(bad) and named in refusal(bad)
+
+    def test_stored_config_must_be_an_object(self):
+        # a header's 'config' field is checked to be one first
+        with pytest.raises(ConfigError, match="config must be an object"):
+            config_from_dict([])
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "not.npz"

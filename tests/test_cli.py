@@ -14,6 +14,7 @@ from glossgen.config import (S0_VARIANTS, config_to_text, default_config,
                              load_config_file, set_key)
 from glossgen.data import Vocabulary, load_corpus, split_by_sense
 from glossgen.models import DefinitionModel, expected_param_count
+from glossgen.training import make_query_entry
 
 MICRO_CFG = """
 model.d_w = 8
@@ -88,6 +89,17 @@ def missing_array(trained, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def contextual(cfg_path, tmp_path_factory):
+    """An untrained checkpoint of a micro model that reads the deterministic
+    contextual vectors, seeded with the model's seed."""
+    cfg = set_key(load_config_file(cfg_path), "model.contextual_on", "true")
+    model = DefinitionModel(cfg.model, Vocabulary(["check", "oil"]), seed=0)
+    path = tmp_path_factory.mktemp("contextual") / "model.npz"
+    checkpoint.save_checkpoint(path, model, cfg)
+    return path
+
+
+@pytest.fixture(scope="module")
 def warm_start(cfg_path, tmp_path_factory):
     """A warm-start file of the initial decoder branch at the micro config."""
     out = tmp_path_factory.mktemp("pre")
@@ -108,6 +120,18 @@ class TestDataCommands:
         code = main(["data", "validate", "--override", f"data.corpus={bad}"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_validate_lists_each_malformed_line(self, tmp_path, capsys):
+        good = open(resolve_data_path("", "mini_corpus.jsonl"), encoding="utf-8").readlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(good[:3]) + "not json\n[1, 2]\n" + good[0])
+        assert main(["data", "validate", "--override", f"data.corpus={bad}"]) == 0
+        out = capsys.readouterr().out
+        assert "lines 6  loaded 3  malformed 3" in out
+        first_id = json.loads(good[0])["id"]
+        assert out.endswith("  line 4: Expecting value: line 1 column 1 (char 0)\n"
+                            "  line 5: record is not an object\n"
+                            f"  line 6: id {first_id!r} repeats line 1\n")
 
     def test_split_manifest_covers_corpus(self, tmp_path):
         out = tmp_path / "s"
@@ -487,6 +511,31 @@ class TestEvalAndGenerate:
         err = capsys.readouterr().err
         assert "data.vocab_size=300" in err and "data.vocab_size = 200" in err
 
+    def test_generate_temperature_flag_sets_sampling(self, trained, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", trained["cfg"], "--seed", "3",
+                     "--checkpoint", trained["checkpoint"], "--word", "check",
+                     "--context", "check the oil", "--temperature", "1.0",
+                     "--out-dir", str(out)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert "\nmodel.temperature = 1.0\n" in (out / "config.txt").read_text()
+        model, _, _ = checkpoint.load_checkpoint(trained["checkpoint"])
+        query = make_query_entry("check", "check the oil", entry_id="query-0")
+        tokens, _ = model.generate(query, temperature=1.0, seed=3)
+        assert record["output"] == " ".join(tokens)
+
+    def test_out_dir_with_equals_is_left_out_of_the_record(self, trained, tmp_path, capsys):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["eval", "--config", trained["cfg"], "--seed", "0",
+                         "--checkpoint", trained["checkpoint"],
+                         "--manifest", trained["manifest"], f"--out-dir={out}"]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == ["config.txt", "report.jsonl", "report.txt", "run.json"]
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        assert "--out-dir" not in (runs[0] / "run.json").read_text()
+
     def test_generate_one_line_per_context(self, trained, capsys):
         assert main(["generate", "--config", trained["cfg"],
                      "--checkpoint", trained["checkpoint"],
@@ -590,6 +639,53 @@ class TestEvalAndGenerate:
                                str(missing_array)] + refused) == 1
         err = capsys.readouterr().err
         assert named in err and "def.W_d" not in err
+
+    # Refusals that the judge of a checkpoint's header, given the vector file
+    # the run names, or of a warm-start file's header makes: (header edit, or
+    # None for a full checkpoint given as a warm start; flags; a part of the
+    # message)
+    JUDGED_REFUSALS = {
+        "fingerprint": ({"vocab_fingerprint": "0" * 64}, [],
+                        "vocabulary fingerprint mismatch"),
+        "file-for-deterministic": ({}, ["--override", "data.contextual_file={vectors}"],
+                                   "run used a deterministic-test contextual provider, "
+                                   "not the file-backed one supplied"),
+        "contextual-seed": ({"contextual_seed": 7}, [],
+                            "header field 'contextual_seed' is not 'seed'"),
+        "file-backed-without-file": ({"contextual_kind": "file-backed"}, [],
+                                     "run used a file-backed contextual provider; "
+                                     "supply it to load"),
+        "pretrained": (None, [], "not a pretrained-decoder file (header kind None)"),
+    }
+
+    @pytest.mark.parametrize("case", JUDGED_REFUSALS)
+    def test_judged_refusal_leaves_earlier_run_as_it_was(self, cfg_path, contextual,
+                                                         missing_array, tmp_path, capsys,
+                                                         case):
+        edit, flags, named = self.JUDGED_REFUSALS[case]
+        out, bad, vectors = tmp_path / "run", tmp_path / "bad.npz", tmp_path / "vec.txt"
+        vectors.write_text("query-0" + " 0.5" * 8 + "\n")
+        if edit is None:
+            argv = ["train", "--config", cfg_path, "--override", "train.max_epochs=0",
+                    "--out-dir", str(out)]
+            refused = argv + ["--pretrained", str(missing_array)]
+        else:
+            # the edited header on arrays that lack one, so a refusal made
+            # after any array is read would name the missing array instead
+            meta, arrays = checkpoint._read(contextual)
+            del arrays["def.W_d"]
+            checkpoint._write(bad, {**meta, **edit}, arrays)
+            argv = self.GENERATE + ["--out-dir", str(out), "--checkpoint"]
+            refused = argv + [str(bad)] + [f.format(vectors=vectors) for f in flags]
+            argv = argv + [str(contextual)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(refused) == 1
+        err = capsys.readouterr().err
+        assert named in err and "def.W_d" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not (out / "FAILED").exists()
 
     @pytest.mark.parametrize("word, context, named", [
         ("check", "  ", "query: empty context"), (" ", "check the oil", "query: empty word")],
@@ -819,6 +915,21 @@ class TestErrorsAndPaths:
     def test_bad_override_is_user_error(self, capsys):
         assert main(["data", "validate", "--override", "model.nope=1"]) == 1
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item, named", [
+        ("model.char_on = maybe", "model.char_on: expected a boolean, got 'maybe'"),
+        ("model.char_on", "expected key = value, got 'model.char_on'"),
+        # a name the Config class has but that is no section of a config
+        ("__class__.model = x", "unknown config key '__class__.model'")],
+        ids=["boolean", "no-equals", "no-section"])
+    @pytest.mark.parametrize("given", ["override", "config"])
+    def test_refused_item_is_named(self, tmp_path, capsys, item, named, given):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# a comment\n\n" + item + "\n")
+        args = ["--override", item] if given == "override" else ["--config", str(cfg)]
+        assert main(["data", "validate"] + args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {f'{cfg}:3: ' if given == 'config' else ''}{named}\n"
 
     def test_split_ratios_need_three_parts(self, tmp_path, capsys):
         assert main(["data", "split", "--out-dir", str(tmp_path / "s"),

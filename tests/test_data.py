@@ -137,6 +137,17 @@ class TestLoadCorpus:
         assert report.loaded == 2
         assert report.malformed == [(3, "id 'e1' repeats line 1")]
 
+    def test_non_object_record_and_empty_definition_are_malformed(self, tmp_path):
+        # a blank line is neither loaded nor malformed, and counts in no total
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([json.dumps(make_record()), "  ", "[1, 2]",
+                                   json.dumps(make_record(id="e2", definition="   ")),
+                                   json.dumps(make_record(id="e3"))]) + "\n")
+        entries, report = D.load_corpus(path)
+        assert [e.entry_id for e in entries] == ["e1", "e3"]
+        assert report.total_lines == 4 and report.loaded == 2
+        assert report.malformed == [(3, "record is not an object"), (4, "empty definition")]
+
     def test_majority_malformed_is_hard_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with open(path, "w") as fh:

@@ -307,6 +307,11 @@ class TestSampling:
             sample_sequence(ToyStepFn([[0.0]]), None, 0, 1, 5, 0.0,
                             np.random.default_rng(0))
 
+    def test_max_len_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_len must be at least 1"):
+            sample_sequence(ToyStepFn([[0.0]]), None, 0, 1, 0, 1.0,
+                            np.random.default_rng(0))
+
     def test_low_temperature_concentrates(self):
         # tau=0.05 on a clearly peaked distribution behaves like argmax
         fn = ToyStepFn([[0.0, 3.0, 0.0, 0.0], [0.0, 0.0, 0.0, 9.0]])

@@ -255,6 +255,10 @@ class TestEvaluate:
         with pytest.raises(M.MetricsError):
             M.evaluate(model, [(entry(), None)])
 
+    def test_empty_test_set_rejected(self):
+        with pytest.raises(M.MetricsError, match="empty test set"):
+            M.evaluate(micro_model(), [])
+
     def test_usage_inclusion_reported_for_multi(self):
         labeled = self.labeled()
         model = micro_model(kind="parallel", temperature=0.5)

@@ -293,6 +293,20 @@ class TestForwardSingle:
         with pytest.raises(ShapeError):
             model.forward_batch([])
 
+    def test_entry_without_context_rejected(self):
+        model = DefinitionModel(micro_cfg(), make_vocab(), seed=5)
+        bare = entry(eid="e2")
+        bare.contexts = []
+        with pytest.raises(ShapeError, match="entry e2: no context sentence"):
+            model.forward_batch([entry(), bare])
+
+    def test_pretrained_matrix_must_fit_vocab_and_width(self):
+        # 20 rows for the 20-token vocabulary, at d_w 8
+        for shape in [(19, 8), (20, 7)]:
+            with pytest.raises(ShapeError, match=r"pretrained matrix .* vocab 20 x d_w 8"):
+                DefinitionModel(micro_cfg(), make_vocab(), seed=5,
+                                pretrained_matrix=np.zeros(shape))
+
 
 class TestMultiTask:
     def test_parallel_def_branch_identical_to_single(self):
